@@ -3,7 +3,8 @@
 
 A city deploys GeoGrid proxies that collect roadside reports ("accident at
 mile 12", "slowdown near the bridge") published to the region covering the
-incident.  Drivers issue rectangular location queries ("what is happening
+incident; each report is a write into the covering region's location
+store.  Drivers issue rectangular range lookups ("what is happening
 within 5 miles of my route?").  Midway, a proxy crashes: its dual-peer
 secondary detects the silence via heartbeats, promotes itself, and the
 data keeps being served -- all of it over the simulated network with
@@ -43,17 +44,22 @@ def main() -> None:
           f"{len(cluster.primary_rects())} regions, partition consistent")
 
     print("publishing rush-hour incident reports along the corridor...")
+    acked = 0
     for index, point in enumerate(HIGHWAY):
-        reporter = rng.choice(nodes).node.node_id
-        cluster.publish(reporter, point, f"incident-{index} at {point}")
-    print(f"  {len(HIGHWAY)} reports stored "
-          f"({cluster.network.stats.by_kind.get('publish', 0)} publish messages)")
+        reporter = rng.choice(nodes)
+        request_id = cluster.publish(
+            reporter.node.node_id, point, f"incident-{index} at {point}"
+        )
+        acked += request_id in reporter.store_acks
+    print(f"  {len(HIGHWAY)} reports published, {acked} acknowledged "
+          f"by the covering region")
 
     commuter = nodes[0].node.node_id
     window = Rect(10, 12, 14, 12)
-    results = cluster.query(commuter, window)
-    found = sorted(item for result in results for _, item in result.items)
-    print(f"commuter query over {window}: {len(results)} regions answered, "
+    found = sorted(
+        record.payload for record in cluster.store_lookup(commuter, window)
+    )
+    print(f"commuter lookup over {window}: "
           f"{len(found)} incidents: {found[:4]}...")
 
     # Crash the primary proxy serving the middle of the corridor.
@@ -72,7 +78,7 @@ def main() -> None:
         return
     print(f"crashing proxy {victim.node.node_id} "
           f"(serves {victim.owned.rect}, backup at {victim.owned.peer})...")
-    items_before = len(victim.owned.items)
+    reports_before = len(victim.owned.store)
     cluster.crash_node(victim.node.node_id)
     cluster.settle(40)
     cluster.check_partition()
@@ -83,12 +89,11 @@ def main() -> None:
         and pnode.owned.rect == victim.owned.rect
     ]
     print(f"  secondary {survivors[0].node.node_id} took over; "
-          f"{len(survivors[0].owned.items)}/{items_before} replicated "
+          f"{len(survivors[0].owned.store)}/{reports_before} replicated "
           f"reports survived")
 
-    results = cluster.query(commuter, window)
-    found_after = sorted(item for result in results for _, item in result.items)
-    print(f"commuter re-query: {len(found_after)} incidents still served "
+    found_after = cluster.store_lookup(commuter, window)
+    print(f"commuter re-lookup: {len(found_after)} incidents still served "
           f"after the failure")
     stats = cluster.network.stats
     print(f"transport: {stats.sent} messages sent, {stats.delivered} "

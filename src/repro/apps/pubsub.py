@@ -174,7 +174,12 @@ class GeoPubSub:
     # Overlay restructuring hooks
     # ------------------------------------------------------------------
     def _on_region_split(self, parent: Region, child: Region) -> None:
-        """The new half inherits the subscriptions overlapping it."""
+        """The new half inherits the subscriptions touching it.
+
+        Closed-rect ``touches``, the same rule :meth:`subscribe` fans out
+        by: a half that only shares an edge with the watched rect can
+        still own matching events on that edge.
+        """
         subscriptions = self._by_region.get(parent)
         if not subscriptions:
             return
@@ -182,9 +187,9 @@ class GeoPubSub:
         child_list: List[Subscription] = []
         for subscription in subscriptions:
             rect = subscription.query.query_rect
-            if rect.intersects(parent.rect):
+            if rect.touches(parent.rect):
                 parent_keep.append(subscription)
-            if rect.intersects(child.rect):
+            if rect.touches(child.rect):
                 child_list.append(subscription)
                 self.stats.rehomed_on_split += 1
         if parent_keep:
@@ -208,7 +213,7 @@ class GeoPubSub:
                 self.stats.absorbed_on_merge += 1
 
     def check_consistency(self, now: Optional[float] = None) -> None:
-        """Assert every stored subscription overlaps its host region.
+        """Assert every stored subscription touches its host region.
 
         Used by tests after churn: restructuring must never leave a
         subscription registered at a region its query cannot match in.
@@ -219,8 +224,8 @@ class GeoPubSub:
                     f"subscriptions registered at dead region {region!r}"
                 )
             for subscription in subscriptions:
-                if not subscription.query.query_rect.intersects(region.rect):
+                if not subscription.query.query_rect.touches(region.rect):
                     raise AssertionError(
                         f"subscription {subscription.query.query_id} does "
-                        f"not overlap its host region {region!r}"
+                        f"not touch its host region {region!r}"
                     )

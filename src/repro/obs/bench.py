@@ -846,7 +846,6 @@ def run_overload_bench(
     registry.set_gauge("overload.bench.violations", len(result.violations))
     registry.set_gauge("overload.bench.lost_objects", result.lost_objects)
     registry.set_gauge("overload.bench.sheds", result.sheds)
-    registry.set_gauge("overload.bench.deflections", result.deflections)
     registry.set_gauge("overload.bench.control_sheds", result.control_sheds)
     registry.set_gauge("overload.bench.peak_queue", result.peak_queue_depth)
     registry.set_gauge("overload.bench.queue_bound", result.queue_bound)

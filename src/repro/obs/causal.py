@@ -120,7 +120,7 @@ def operation(
     """Open an operation span and return its context (``None`` when off).
 
     Called at protocol entry points (``send_to_point``, ``start_join``,
-    ``query_rect``...).  Outside any context the operation roots a fresh
+    ``store_lookup``...).  Outside any context the operation roots a fresh
     trace; inside one (a rejoin triggered by a heartbeat, a retry fired
     by a timer) it becomes a child span, preserving the causal chain that
     PR-2-style forensics need.  Wrap the operation's sends in

@@ -418,7 +418,6 @@ def cluster_sample(cluster: Any) -> Dict[str, Any]:
             "pressure": digest.pressure if digest else 0.0,
             "sheds": pnode.sheds,
             "shed_received": sum(pnode.shed_received.values()),
-            "deflections": pnode.deflections,
         }
         nodes.append(row)
         for name, histogram in pnode.slo_histograms().items():

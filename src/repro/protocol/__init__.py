@@ -8,9 +8,10 @@ latency, loss and failures:
 
 * join requests routed greedily to the covering region, answered with a
   split grant or (dual peer) a secondary-slot grant;
-* location queries routed hop by hop using each node's *local* neighbor
-  table only;
-* geo-tagged publish/subscribe with primary-to-secondary replication;
+* location-store updates and range lookups routed hop by hop using each
+  node's *local* neighbor table only, with primary-to-secondary
+  replication (a geo-tagged publish is a store update);
+* continuous-query subscriptions notified of matching store updates;
 * heartbeats at two frequencies -- fast between the owners of one region,
   slower between neighbor primaries -- driving failure detection, and
   dual-peer failover when a primary dies.
@@ -29,12 +30,8 @@ from repro.protocol.messages import (
     JOIN_GRANT,
     JOIN_REQUEST,
     NEIGHBOR_UPDATE,
-    PUBLISH,
-    QUERY,
-    QUERY_RESULT,
     RELIABLE,
     RELIABLE_ACK,
-    REPLICATE,
     ROUTE,
     ROUTE_DELIVERED,
     SYNC_STATE,
@@ -64,10 +61,6 @@ __all__ = [
     "NEIGHBOR_UPDATE",
     "ROUTE",
     "ROUTE_DELIVERED",
-    "QUERY",
-    "QUERY_RESULT",
-    "PUBLISH",
-    "REPLICATE",
     "RELIABLE",
     "RELIABLE_ACK",
     "HEARTBEAT",

@@ -188,22 +188,15 @@ class ProtocolCluster:
                 return ack
         return None
 
-    def publish(self, from_node_id: int, point: Point, item: Any) -> None:
-        """Publish a geo-tagged item and let it propagate."""
-        self._protocol_node(from_node_id).publish(point, item)
-        self.run_for(10.0)
+    def publish(self, from_node_id: int, point: Point, item: Any) -> int:
+        """Publish a geo-tagged item (a store write) and let it propagate.
 
-    def query(
-        self,
-        from_node_id: int,
-        rect: Rect,
-        wait: float = 20.0,
-    ) -> List[m.QueryResultBody]:
-        """Issue a location query and collect the per-region results."""
-        origin = self._protocol_node(from_node_id)
-        request_id = origin.query_rect(rect)
-        self.run_for(wait)
-        return origin.query_results.get(request_id, [])
+        Returns the store write's request id; its ack lands in the
+        publisher's ``store_acks``.
+        """
+        request_id = self._protocol_node(from_node_id).publish(point, item)
+        self.run_for(10.0)
+        return request_id
 
     # ------------------------------------------------------------------
     # Location store operations

@@ -2,9 +2,9 @@
 
 Two families, exactly as Section 2.2 describes: *management* messages
 (join, split, neighbor-table maintenance, heartbeats) whose syntax the
-middleware defines, and *application* messages (routed requests, queries,
-publications) that must carry the geographical coordinate of their
-destination.
+middleware defines, and *application* messages (routed requests,
+location-store updates and lookups, subscriptions) that must carry the
+geographical coordinate of their destination.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ ROUTE = "route"
 ROUTE_DELIVERED = "route_delivered"
 SHORTCUT_HOP = "shortcut_hop"
 MISROUTE = "misroute"
-QUERY = "query"
-QUERY_FANOUT = "query_fanout"
-QUERY_RESULT = "query_result"
-PUBLISH = "publish"
-REPLICATE = "replicate"
 
 # ---------------------------------------------------------------------
 # Reliable-exchange envelope kinds (the repro.protocol.reliable substrate)
@@ -132,8 +127,6 @@ class JoinGrantBody:
     peer: Optional[NodeAddress]
     #: The granter's neighbor table, pre-filtered for the granted rect.
     neighbors: Tuple[NeighborInfo, ...]
-    #: Replicated geo-items (secondary grants ship the store).
-    items: Tuple[Tuple[Point, Any], ...] = ()
     #: Echo of the join request's nonce.
     nonce: int = 0
     #: Location-store records riding the grant: a split hands the new
@@ -180,7 +173,6 @@ class GrantDeclineBody:
 
     role: str
     rect: Rect
-    items: Tuple[Tuple[Point, Any], ...] = ()
     #: Location-store records returned with the declined region.
     objects: Tuple[ObjectRecord, ...] = ()
     #: Continuous-query registrations returned with the declined region.
@@ -232,12 +224,6 @@ class HeartbeatBody:
     #: loss, and the health view would blame a healthy node for it.
     #: ``0`` means the sender does not attest (telemetry off).
     vitals_streak: int = 0
-    #: The sender's ingress backpressure in [0, 1]: current queue depth
-    #: over its capacity-scaled admission budget.  Rides next to the
-    #: workload stats above so routing can deflect greedy forwarding
-    #: around saturated neighbors without new message rounds.  ``0.0``
-    #: when ``NodeConfig.overload_enabled`` is off.
-    pressure: float = 0.0
 
 
 def heartbeat_with_streak(beat: HeartbeatBody, streak: int) -> HeartbeatBody:
@@ -316,7 +302,6 @@ class SyncStateBody:
 
     rect: Rect
     neighbors: Tuple[NeighborInfo, ...]
-    items: Tuple[Tuple[Point, Any], ...]
 
 
 @dataclass(frozen=True)
@@ -405,87 +390,12 @@ class MisrouteBody:
 
 
 @dataclass(frozen=True)
-class QueryBody:
-    """A location query: spatial rect + optional payload filter tag."""
-
-    origin: NodeAddress
-    rect: Rect
-    request_id: int
-    hops: int = 0
-    #: Addresses that already served this query (fan-out dedup).
-    served: Tuple[NodeAddress, ...] = ()
-
-    def forwarded(self) -> "QueryBody":
-        """Copy with the hop count bumped."""
-        return QueryBody(
-            origin=self.origin,
-            rect=self.rect,
-            request_id=self.request_id,
-            hops=self.hops + 1,
-            served=self.served,
-        )
-
-    def marked_served(self, address: NodeAddress) -> "QueryBody":
-        """Copy with ``address`` appended to the served set."""
-        return QueryBody(
-            origin=self.origin,
-            rect=self.rect,
-            request_id=self.request_id,
-            hops=self.hops,
-            served=self.served + (address,),
-        )
-
-
-@dataclass(frozen=True)
-class QueryResultBody:
-    """One executor's partial answer to a location query."""
-
-    request_id: int
-    executor: NodeAddress
-    region: Rect
-    items: Tuple[Tuple[Point, Any], ...]
-    hops: int
-
-
-@dataclass(frozen=True)
-class PublishBody:
-    """A geo-tagged item to be stored at the covering region."""
-
-    origin: NodeAddress
-    point: Point
-    item: Any
-    hops: int = 0
-    #: Origin-scoped event identifier; subscription NOTIFY dedup keys on
-    #: it (``None`` from senders predating the subscription plane).
-    event_id: Optional[int] = None
-
-    def forwarded(self) -> "PublishBody":
-        """Copy with the hop count bumped."""
-        return PublishBody(
-            origin=self.origin,
-            point=self.point,
-            item=self.item,
-            hops=self.hops + 1,
-            event_id=self.event_id,
-        )
-
-
-@dataclass(frozen=True)
-class ReplicateBody:
-    """Primary tells its secondary about one new stored item."""
-
-    point: Point
-    item: Any
-
-
-@dataclass(frozen=True)
 class RegionStateBody:
     """A region's full transferable state (primary-switch handoff)."""
 
     rect: Rect
     #: The region's secondary owner, if any (stays with the region).
     peer: Optional[NodeAddress]
-    items: Tuple[Tuple[Point, Any], ...]
     neighbors: Tuple[NeighborInfo, ...]
     #: Location-store records moving with the region.
     objects: Tuple[ObjectRecord, ...] = ()
@@ -534,8 +444,6 @@ class DepartBody:
     """Graceful departure announcement with region handoff."""
 
     rect: Rect
-    #: Items handed to the surviving peer or adopter.
-    items: Tuple[Tuple[Point, Any], ...]
     #: Location-store records handed with the region.
     objects: Tuple[ObjectRecord, ...] = ()
     #: Continuous-query registrations handed with the region.
@@ -790,9 +698,9 @@ class NotifyBody:
 
     sub_id: str
     subscriber: NodeAddress
-    #: Deduplication key identifying the matched event: store updates
-    #: key on ``("store", object_id, version)``, publishes on
-    #: ``("pub", origin, event_id)``.
+    #: Deduplication key identifying the matched event:
+    #: ``("store", object_id, version)`` (a publish is a store update
+    #: whose object id is ``("pub", origin, seq)``).
     event_key: Tuple[Any, ...]
     point: Point
     payload: Any

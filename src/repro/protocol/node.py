@@ -1,7 +1,8 @@
 """One GeoGrid node as asynchronous message handlers.
 
 Each :class:`ProtocolNode` owns at most one region (as primary or
-secondary), a *local* neighbor table, and a store of geo-tagged items.
+secondary), a *local* neighbor table, and the region's location store
+(moving objects and published events alike).
 All decisions -- routing, splitting, failover -- use only local state plus
 received messages; nothing consults a global view, which is the point of
 running the protocol on the simulated network.
@@ -42,9 +43,9 @@ DeliverCallback = Callable[[Point, Any], None]
 #: channel.  A store update is the object's only position report -- a
 #: dropped hop silently loses it until the next report -- and a
 #: subscription registration is the only copy of its lease while being
-#: routed -- whereas plain routes, publishes and queries are either
-#: retried by the application or repaired by anti-entropy, so hop-by-hop
-#: acks would only buy them message overhead.
+#: routed -- whereas plain routes and lookups are retried by the
+#: application, so hop-by-hop acks would only buy them message overhead.
+#: Publishes are store updates and ride this channel too.
 RELIABLE_ROUTED_KINDS = frozenset({m.STORE_UPDATE, m.SUBSCRIBE})
 
 #: Cap on outstanding client operations tracked for SLO latency; older
@@ -164,17 +165,21 @@ class NodeConfig:
     #: knob exists for overhead ablation (``repro bench telemetry``),
     #: not correctness.
     telemetry_enabled: bool = True
-    #: Whether a primary that sees a persistently uncovered stretch of
-    #: its own perimeter probes it.  Grants born inside an incomplete
+    #: Whether a primary heals blind spots around the ground it serves.
+    #: A hole it has caretaken for two heartbeat intervals makes the
+    #: regions across the hole its neighbors, or greedy routing would
+    #: dead-end at the caretaker for any target beyond the hole.  And it
+    #: probes a persistently uncovered stretch of its own perimeter:
+    #: grants born inside an incomplete
     #: neighborhood can leave two adjacent primaries mutually blind --
     #: neither heartbeats the other, so heartbeat gossip (which needs a
     #: third node adjacent to both) can never bridge the gap.  The probe
     #: is routed greedily to a point just outside the gap; whoever
     #: serves that ground installs the prober and answers with a direct
-    #: heartbeat, healing both tables.  Needs :attr:`ProtocolNode.bounds`
-    #: to tell real gaps from the world edge; disabled (like the other
-    #: fault-injection knobs) by forensic replays pinned to historical
-    #: message sequences.
+    #: heartbeat, healing both tables.  The probe needs
+    #: :attr:`ProtocolNode.bounds` to tell real gaps from the world edge.
+    #: Both repairs are disabled (like the other fault-injection knobs)
+    #: by forensic replays pinned to historical message sequences.
     perimeter_probe_enabled: bool = True
     #: Hop budget of one perimeter probe.
     perimeter_probe_ttl: int = 16
@@ -203,12 +208,11 @@ class NodeConfig:
     sub_renew_interval: float = 30.0
     #: Whether the overload control plane runs: capacity-scaled ingress
     #: admission with priority classes (control > acks > data > queries
-    #: > gossip), SHED NACKs with retry-after hints, backpressure
-    #: piggybacked on neighbor heartbeats, pressure-aware deflection in
-    #: greedy forwarding, and escalation from sustained shedding to the
-    #: paper's adaptation mechanisms.  Off, admission never runs, every
-    #: heartbeat carries ``pressure=0.0``, and seeded runs are
-    #: byte-identical to a build without the plane.
+    #: > gossip), SHED NACKs with retry-after hints, and escalation from
+    #: sustained shedding to the paper's adaptation mechanisms.  Off,
+    #: admission never runs, every vitals digest carries
+    #: ``pressure=0.0``, and seeded runs are byte-identical to a build
+    #: without the plane.
     overload_enabled: bool = False
     #: Minimum ingress admission budget regardless of capacity.  Even a
     #: capacity-1 node must absorb its own control fan-in (heartbeats
@@ -221,11 +225,6 @@ class NodeConfig:
     #: Base back-off carried in SHED NACKs; the hint scales up with how
     #: far past its budget the shedder is.
     overload_retry_after: float = 2.0
-    #: A neighbor whose advertised backpressure reaches this fraction of
-    #: its budget is considered saturated: greedy forwarding prefers a
-    #: calmer strictly-closer neighbor when one exists (never giving up
-    #: strict progress toward the target).
-    overload_deflect_threshold: float = 0.75
     #: Consecutive stat windows with shedding before an overloaded
     #: primary escalates to the sqrt(2) switch proposal out of schedule.
     #: Shedding buys time; adaptation fixes the cause.
@@ -239,7 +238,6 @@ class OwnedRegion:
     rect: Rect
     role: str  # "primary" | "secondary"
     peer: Optional[NodeAddress]
-    items: List[Tuple[Point, Any]] = field(default_factory=list)
     #: The location store for this region: the authoritative copy on the
     #: primary, the replica on the secondary.
     store: GridIndex = field(default_factory=GridIndex)
@@ -288,6 +286,18 @@ class ProtocolNode:
         #: Rects whose owners are all believed dead; this node answers for
         #: them best-effort until a join fills the hole.
         self.caretaker_rects: Set[Rect] = set()
+        #: Each heartbeating neighbor's last gossiped table (rect ->
+        #: neighbors).  When that neighbor dies with no secondary, its
+        #: view of the orphaned region's borders is what the caretaker
+        #: inherits.
+        self._gossip_of: Dict[Rect, Tuple[m.NeighborInfo, ...]] = {}
+        #: Holes adopted too recently to count as ground we serve (rect
+        #: -> (adopted at, the dead owner's last gossip)).  A slow but
+        #: live owner is often declared dead and heard from again within
+        #: a tick or two; only a hole that persists adopts its borders.
+        self._holes_pending: Dict[
+            Rect, Tuple[float, Tuple[m.NeighborInfo, ...]]
+        ] = {}
         self.last_seen: Dict[NodeAddress, float] = {}
         self.suspected: Set[NodeAddress] = set()
         #: Recent heartbeat-borne ownership claims (rect -> (info, heard
@@ -325,8 +335,6 @@ class ProtocolNode:
         self._perimeter_gap_ticks = 0
 
         self.delivered: List[m.RouteDeliveredBody] = []
-        self.query_results: Dict[int, List[m.QueryResultBody]] = {}
-        self._served_queries: Set[int] = set()
         #: Acknowledged store updates issued from this node.
         self.store_acks: Dict[int, m.StoreAckBody] = {}
         #: Misplaced records re-routed home, awaiting the executor's ack
@@ -345,8 +353,10 @@ class ProtocolNode:
         #: Receive-side notification dedup: at-least-once delivery plus
         #: multi-region matches can push the same event more than once.
         self._notify_seen: Set[Tuple[str, Tuple[Any, ...]]] = set()
-        #: Sequence counter behind locally issued subscription ids.
+        #: Sequence counters behind locally issued subscription ids and
+        #: published event ids.
         self._sub_seq = itertools.count(1)
+        self._pub_seq = itertools.count(1)
         #: Stranded registrations re-routed toward their rect, awaiting
         #: the covering executor's ack before the local copy is dropped
         #: (request id -> (sub id, version); mirrors ``_rehome_pending``).
@@ -369,13 +379,8 @@ class ProtocolNode:
         #: When each :attr:`neighbor_stats` entry was last refreshed by a
         #: heartbeat.  Entries whose heartbeats stop are expired by the
         #: failure sweep (a crashed neighbor's last-reported load must
-        #: not pin switch and deflection decisions forever).
+        #: not pin switch decisions forever).
         self._neighbor_stats_at: Dict[Rect, float] = {}
-        #: Latest ingress backpressure advertised by neighbor primaries
-        #: (rect -> pressure in [0, 1]); only written when the overload
-        #: plane is on.  Routing deflects around entries at or above
-        #: ``overload_deflect_threshold``.
-        self.neighbor_pressure: Dict[Rect, float] = {}
         #: Set while a primary switch we initiated is in flight.
         self._switch_pending = False
         #: The rect this node owned when it proposed its pending switch;
@@ -384,14 +389,15 @@ class ProtocolNode:
         self._switch_proposed_rect: Optional[Rect] = None
         #: Completed primary switches this node took part in.
         self.switches_completed = 0
-        #: After a primary switch installs, the counterpart may still emit
-        #: heartbeats claiming the region it just handed us (sent before
-        #: its own install, still in flight).  Yielding on that stale
-        #: first-hand evidence orphans the swapped region, so claims of
+        #: After a primary switch installs, or a departing primary hands us
+        #: its region, the counterpart may still emit heartbeats claiming
+        #: the region it just handed us (sent before its own install or
+        #: departure, still in flight).  Yielding on that stale
+        #: first-hand evidence orphans the region, so claims of
         #: exactly ``rect`` from ``counterpart`` are demoted to
         #: confront-grade evidence until the deadline passes:
         #: (counterpart, rect, deadline).
-        self._switch_handoff: Optional[Tuple[NodeAddress, Rect, float]] = None
+        self._handoff: Optional[Tuple[NodeAddress, Rect, float]] = None
 
         #: Set between a reliable departure handoff and its confirmation:
         #: the node is no longer alive but its endpoint lingers so the
@@ -437,7 +443,7 @@ class ProtocolNode:
         #: at every touched site; off, no subscription message is sent).
         self._sub = cfg.sub_enabled
         #: Whether the overload control plane runs (checked at every
-        #: touched site; off, admission never sheds, heartbeats carry
+        #: touched site; off, admission never sheds, vitals digests carry
         #: ``pressure=0.0``, and no SHED message is ever sent).
         self._overload = cfg.overload_enabled
         #: Capacity-scaled ingress budget and the per-kind admission
@@ -459,8 +465,6 @@ class ProtocolNode:
         #: the most recent notices (kind, retry_after, depth).
         self.shed_received: Dict[str, int] = {}
         self.shed_notices: List[Tuple[str, float, int]] = []
-        #: Forwarding decisions deflected around a saturated neighbor.
-        self.deflections = 0
         self.vitals = VitalsFrame()
         self.health = NeighborHealthView(
             expected_interval=cfg.heartbeat_interval,
@@ -503,11 +507,6 @@ class ProtocolNode:
             m.SWITCH_REJECT: self._on_switch_reject,
             m.ROUTE: self._on_route,
             m.ROUTE_DELIVERED: self._on_route_delivered,
-            m.QUERY: self._on_query,
-            m.QUERY_FANOUT: self._on_query_fanout,
-            m.QUERY_RESULT: self._on_query_result,
-            m.PUBLISH: self._on_publish,
-            m.REPLICATE: self._on_replicate,
             m.STORE_UPDATE: self._on_store_update,
             m.STORE_REMOVE: self._on_store_remove,
             m.STORE_ACK: self._on_store_ack,
@@ -537,8 +536,6 @@ class ProtocolNode:
         self._routed_handlers = {
             m.JOIN_REQUEST: self._handle_join_request,
             m.ROUTE: self._handle_route,
-            m.PUBLISH: self._handle_publish,
-            m.QUERY: self._handle_query,
             m.STORE_UPDATE: self._handle_store_update,
             m.STORE_REMOVE: self._handle_store_remove,
             m.STORE_LOOKUP: self._handle_store_lookup,
@@ -648,8 +645,8 @@ class ProtocolNode:
     def depart(self) -> None:
         """Graceful departure with state handoff.
 
-        The handoff message is the only copy of this primary's items and
-        store records once we stop serving, so it rides the reliable
+        The handoff message is the only copy of this primary's store
+        records and subscriptions once we stop serving, so it rides the reliable
         channel: the node drops into a *draining* state -- dead to the
         protocol, timers cancelled, struck from the bootstrap -- but its
         endpoint lingers until the peer's ack (or the retry budget)
@@ -672,7 +669,6 @@ class ProtocolNode:
                 self.owned.peer,
                 m.DepartBody(
                     rect=self.owned.rect,
-                    items=tuple(self.owned.items),
                     objects=tuple(self.owned.store.records()),
                     subscriptions=tuple(self.owned.subs.records()),
                 ),
@@ -925,35 +921,17 @@ class ProtocolNode:
             self._handle_route(body)
         return request_id
 
-    def publish(self, point: Point, item: Any) -> None:
-        """Store a geo-tagged item at the region covering ``point``."""
-        body = m.PublishBody(
-            origin=self.address, point=point, item=item,
-            event_id=next(_request_ids),
-        )
-        ctx = causal.operation(
-            "publish", origin=str(self.address), point=str(point)
-        )
-        with causal.using(ctx):
-            self._handle_publish(body)
+    def publish(self, point: Point, item: Any) -> int:
+        """Publish a geo-tagged event at ``point``.
 
-    def query_rect(self, rect: Rect) -> int:
-        """Issue a location query over ``rect``.
-
-        Results accumulate under the returned request id in
-        :attr:`query_results`, one entry per answering region.
+        A publish is a location-store write under an id minted here,
+        ``("pub", str(address), seq)``: it rides the store's data path
+        (per-hop reliable routing, synchronous replication, anti-entropy,
+        rehome, handover) and notifies covering subscriptions like any
+        store update.  Returns the store write's request id.
         """
-        request_id = next(_request_ids)
-        body = m.QueryBody(origin=self.address, rect=rect, request_id=request_id)
-        ctx = causal.operation(
-            "query_rect",
-            origin=str(self.address),
-            rect=str(rect),
-            request_id=request_id,
-        )
-        with causal.using(ctx):
-            self._handle_query(body)
-        return request_id
+        object_id = ("pub", str(self.address), next(self._pub_seq))
+        return self.store_update(object_id, point, payload=item)
 
     def store_update(
         self,
@@ -1027,11 +1005,11 @@ class ProtocolNode:
         The registration routes greedily to the rect's center and fans
         out to every touching region; each covering primary registers it
         (and replicates to its secondary) and pushes a NOTIFY back here
-        for every matching store update or publish until the lease runs
-        out.  Re-issue with the same ``sub_id`` and a higher ``version``
-        to renew.  Acks land in :attr:`sub_acks` (one per covering
-        region), notifications in :attr:`notifications`.  Returns
-        ``(request_id, sub_id)``.
+        for every matching store update (publishes included) until the
+        lease runs out.  Re-issue with the same ``sub_id`` and a higher
+        ``version`` to renew.  Acks land in :attr:`sub_acks` (one per
+        covering region), notifications in :attr:`notifications`.
+        Returns ``(request_id, sub_id)``.
         """
         if not self._sub:
             raise RuntimeError(
@@ -1277,6 +1255,23 @@ class ProtocolNode:
                 return rect
         return None
 
+    def _borders(self, rect: Rect) -> bool:
+        """Whether ``rect`` abuts ground we serve: our region or a hole.
+
+        A caretaker answers for a hole, so the regions across the hole
+        are its neighbors too.  Without them greedy routing dead-ends at
+        the caretaker for any target beyond the hole.  A hole still
+        settling (see ``_holes_pending``) does not count yet.
+        """
+        assert self.owned is not None
+        if self.owned.rect.is_neighbor_of(rect):
+            return True
+        return self.config.perimeter_probe_enabled and any(
+            hole.is_neighbor_of(rect)
+            for hole in self.caretaker_rects
+            if hole not in self._holes_pending
+        )
+
     def _live_endpoint(self, info: m.NeighborInfo) -> Optional[NodeAddress]:
         if info.primary not in self.suspected:
             return info.primary
@@ -1307,15 +1302,6 @@ class ProtocolNode:
         own_distance = self.owned.rect.distance_to_point(target)
         best_address: Optional[NodeAddress] = None
         best_distance = own_distance
-        # Backpressure-aware deflection (overload plane): alongside the
-        # pure-greedy best, track the best *calm* candidate -- strictly
-        # closer than us, but advertising pressure below the saturation
-        # threshold.  Same strict-progress rule, so greedy termination
-        # holds whichever one we pick.
-        deflect = self._overload
-        calm_address: Optional[NodeAddress] = None
-        calm_distance = own_distance
-        threshold = self.config.overload_deflect_threshold
         for info in self.neighbor_table.values():
             endpoint = self._live_endpoint(info)
             if endpoint is None or endpoint == self.address:
@@ -1325,15 +1311,16 @@ class ProtocolNode:
             if distance < best_distance - 1e-12:
                 best_distance = distance
                 best_address = endpoint
-            if (
-                deflect
-                and distance < calm_distance - 1e-12
-                and self.neighbor_pressure.get(info.rect, 0.0) < threshold
-            ):
-                calm_distance = distance
-                calm_address = endpoint
         if self.shortcuts.enabled:
-            shortcut = self.shortcuts.best(target, better_than=best_distance)
+            # An entry unconfirmed for a failure-detection timeout is as
+            # suspect as a silent neighbor (see ShortcutCache).
+            shortcut = self.shortcuts.best(
+                target,
+                better_than=best_distance,
+                fresh_since=self.scheduler.now
+                - self.config.heartbeat_interval
+                * self.config.failure_timeout_multiplier,
+            )
             if shortcut is not None:
                 endpoint = self._live_endpoint(shortcut)
                 if endpoint is not None and endpoint != self.address:
@@ -1366,15 +1353,6 @@ class ProtocolNode:
                     return True
         if best_address is None:
             return False
-        if deflect and calm_address is not None and calm_address != best_address:
-            # The greedy best is saturated but a calmer strictly-closer
-            # neighbor exists: route around the hotspot.  (When the
-            # greedy best is itself calm, calm == best -- both are the
-            # minimum over the same candidate set -- so this fires only
-            # when deflection actually changes the decision.)
-            best_address = calm_address
-            self.deflections += 1
-            obs.inc("overload.deflect")
         if self.shortcuts.enabled:
             self.shortcuts.misses += 1
             if self._telemetry:
@@ -1497,7 +1475,7 @@ class ProtocolNode:
             return
         if info.rect in self.neighbor_table:
             return
-        if self.shortcuts.learn(info):
+        if self.shortcuts.learn(info, now=self.scheduler.now):
             obs.inc("routing.shortcut.learned")
 
     # ------------------------------------------------------------------
@@ -1576,7 +1554,6 @@ class ProtocolNode:
             rect=self.owned.rect,
             peer=self.address,
             neighbors=tuple(self.neighbor_table.values()),
-            items=tuple(self.owned.items),
             nonce=body.nonce,
             objects=tuple(self.owned.store.records()),
             subscriptions=tuple(self.owned.subs.records()),
@@ -1613,15 +1590,6 @@ class ProtocolNode:
             rect=str(handed),
         )
         self.owned.rect = kept
-        kept_items = [
-            (point, item) for point, item in self.owned.items
-            if self._covers(kept, point)
-        ]
-        handed_items = tuple(
-            (point, item) for point, item in self.owned.items
-            if not self._covers(kept, point)
-        )
-        self.owned.items = kept_items
         handed_objects = tuple(self.owned.store.split_off(kept))
         if handed_objects:
             obs.inc("store.node.migrated", len(handed_objects))
@@ -1650,7 +1618,6 @@ class ProtocolNode:
             rect=handed,
             peer=None,
             neighbors=tuple(joiner_neighbors),
-            items=handed_items,
             nonce=body.nonce,
             objects=handed_objects,
             subscriptions=handed_subs,
@@ -1728,7 +1695,7 @@ class ProtocolNode:
             neighbors.append(self._my_info())
         grant = m.JoinGrantBody(
             role="primary", rect=hole, peer=None,
-            neighbors=tuple(neighbors), items=(), nonce=body.nonce,
+            neighbors=tuple(neighbors), nonce=body.nonce,
         )
         self.network.send(self.address, body.joiner, m.JOIN_GRANT, grant)
         self.caretaker_rects.discard(hole)
@@ -1765,7 +1732,7 @@ class ProtocolNode:
             # regardless of attempt -- avoids declining a perfectly good
             # region that merely lost a race with the retry timer.
             decline = m.GrantDeclineBody(
-                role=body.role, rect=body.rect, items=body.items,
+                role=body.role, rect=body.rect,
                 objects=body.objects, subscriptions=body.subscriptions,
             )
             causal.annotate(
@@ -1789,7 +1756,6 @@ class ProtocolNode:
             rect=body.rect,
             role=body.role,
             peer=body.peer,
-            items=list(body.items),
             store=GridIndex(records=body.objects),
             subs=SubIndex(records=body.subscriptions),
         )
@@ -1871,23 +1837,23 @@ class ProtocolNode:
         )
         if not overlaps:
             return False
-        if direct and self._switch_handoff is not None:
-            counterpart, handed_rect, deadline = self._switch_handoff
+        if direct and self._handoff is not None:
+            counterpart, handed_rect, deadline = self._handoff
             if self.scheduler.now >= deadline:
-                self._switch_handoff = None
+                self._handoff = None
             elif (
                 info.primary == counterpart
                 and handed_rect == self.owned.rect
             ):
-                # A primary switch hands this rect over in flight: until
-                # the counterpart installs our old region, its heartbeats
-                # still claim the one it shipped us.  That first-hand
-                # evidence is known-stale -- confront instead of yielding,
-                # so a counterpart that really still claims the ground
-                # (lost accept) keeps getting probed and the conflict
-                # resolves once the grace period lapses.
+                # A switch or departure hands this rect over in flight:
+                # until the counterpart installs our old region (or is
+                # gone), its heartbeats still claim the one it shipped us.
+                # That first-hand evidence is known-stale -- confront
+                # instead of yielding, so a counterpart that really still
+                # claims the ground (lost accept) keeps getting probed and
+                # the conflict resolves once the grace period lapses.
                 causal.annotate(
-                    "switch_claim_demoted",
+                    "handoff_claim_demoted",
                     owner=str(self.address),
                     counterpart=str(info.primary),
                     rect=str(self.owned.rect),
@@ -1975,7 +1941,7 @@ class ProtocolNode:
         self.caretaker_rects = set()
         self._claims_heard = {}
         self._claims_confronted = {}
-        self._switch_handoff = None
+        self._handoff = None
         self._replicated_neighbors = ()
         self.shortcuts.clear()
         for timer in self._timers:
@@ -2074,7 +2040,7 @@ class ProtocolNode:
         # An announced partition change invalidates overlapping cached
         # claims whether or not the new region is adjacent to us.
         self.shortcuts.invalidate_overlapping(info.rect)
-        if self.owned.rect.is_neighbor_of(info.rect):
+        if self._borders(info.rect):
             self.neighbor_table[info.rect] = info
             self.host_cache.remember(info.primary)
         else:
@@ -2089,9 +2055,8 @@ class ProtocolNode:
             return
         pressure = 0.0
         if self._overload:
-            # Backpressure piggybacks on the heartbeat next to the
-            # workload stats: current queue depth over the admission
-            # budget, clamped to [0, 1].
+            # Ingress backpressure for the vitals digest: current queue
+            # depth over the admission budget, clamped to [0, 1].
             pressure = min(
                 1.0,
                 self.network.in_flight_to(self.address)
@@ -2113,14 +2078,29 @@ class ProtocolNode:
                 sheds=self.sheds,
             )
         neighbors = tuple(self.neighbor_table.values())
+        gossip = neighbors
+        if self.suspected:
+            # Relay each claim the way we route by it: a suspected
+            # primary gives way to its secondary, or the claim is
+            # withheld.  Relaying the dead primary would keep teaching it
+            # to nodes that cannot suspect it (it is not their neighbor).
+            gossip = tuple(
+                info if info.primary not in self.suspected
+                else m.NeighborInfo(rect=info.rect, primary=info.secondary)
+                for info in neighbors
+                if info.primary not in self.suspected
+                or (
+                    info.secondary is not None
+                    and info.secondary not in self.suspected
+                )
+            )
         caretaken = tuple(self.caretaker_rects)
         beat = m.HeartbeatBody(
             rect=self.owned.rect, role="primary", secondary=self.owned.peer,
-            neighbors=neighbors,
+            neighbors=gossip,
             index=self.workload_index, capacity=self.node.capacity,
             caretaken=caretaken,
             vitals=vitals,
-            pressure=pressure,
         )
         streaks: Dict[NodeAddress, int] = {}
         if vitals is not None:
@@ -2321,7 +2301,7 @@ class ProtocolNode:
             rect=str(info.rect),
         )
         self.caretaker_rects.discard(info.rect)
-        if self.owned.rect.is_neighbor_of(info.rect):
+        if self._borders(info.rect):
             self.shortcuts.invalidate_overlapping(info.rect)
             self.neighbor_table[info.rect] = info
             self.host_cache.remember(info.primary)
@@ -2410,8 +2390,6 @@ class ProtocolNode:
         if self.owned is not None and body.rect != self.owned.rect:
             self.neighbor_stats[body.rect] = (body.index, body.capacity)
             self._neighbor_stats_at[body.rect] = self.scheduler.now
-            if self._overload:
-                self.neighbor_pressure[body.rect] = body.pressure
         self._witness_claim(
             m.NeighborInfo(
                 rect=body.rect, primary=message.source,
@@ -2450,19 +2428,32 @@ class ProtocolNode:
                     )
                 ),
             )
-        adjacent = (
-            self.owned is not None
-            and self.owned.rect.is_neighbor_of(body.rect)
-        )
+        adjacent = self.owned is not None and self._borders(body.rect)
         sender_info = m.NeighborInfo(
             rect=body.rect, primary=message.source,
             secondary=body.secondary,
         )
         if existing is not None or adjacent:
             # A fresh first-hand claim supersedes any cached claim
-            # overlapping the same ground.
+            # overlapping the same ground, and any table entry there that
+            # names the sender under an older rect or a suspected owner
+            # (e.g. the pre-split region of a departed primary whose
+            # secondary now heartbeats one half).  Such an entry is
+            # otherwise never retracted, and gossip would keep teaching
+            # its dead primary to non-neighbors as a shortcut.
             self.shortcuts.invalidate_overlapping(body.rect)
+            for rect, info in list(self.neighbor_table.items()):
+                if (
+                    rect != body.rect
+                    and rect.intersects(body.rect)
+                    and (
+                        info.primary == message.source
+                        or info.primary in self.suspected
+                    )
+                ):
+                    del self.neighbor_table[rect]
             self.neighbor_table[body.rect] = sender_info
+            self._gossip_of[body.rect] = body.neighbors
         else:
             # A first-hand claim from a non-neighbor (e.g. a probe or
             # confrontation heartbeat): worth a shortcut entry.
@@ -2484,7 +2475,7 @@ class ProtocolNode:
                 continue
             if info.rect == self.owned.rect:
                 continue
-            if self.owned.rect.is_neighbor_of(info.rect):
+            if self._borders(info.rect):
                 self.caretaker_rects.discard(info.rect)
                 self.shortcuts.invalidate_rect(info.rect)
                 self.neighbor_table[info.rect] = info
@@ -2521,7 +2512,6 @@ class ProtocolNode:
         body = m.SyncStateBody(
             rect=self.owned.rect,
             neighbors=tuple(self.neighbor_table.values()),
-            items=tuple(self.owned.items),
         )
         self.network.send(self.address, self.owned.peer, m.SYNC_STATE, body)
         # The store does not ship its full content on every sync; the
@@ -2537,7 +2527,6 @@ class ProtocolNode:
             # The region's primary changed (switch or takeover); follow it.
             self.owned.peer = message.source
         self.owned.rect = body.rect
-        self.owned.items = list(body.items)
         self._replicated_neighbors = body.neighbors
 
     def _check_failures(self) -> None:
@@ -2582,6 +2571,11 @@ class ProtocolNode:
             return
         timeout = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
         for rect, info in list(self.neighbor_table.items()):
+            if not self._borders(rect):
+                # Nothing we serve abuts it any more: the far side of a
+                # filled hole, or a leftover of an older partition.
+                del self.neighbor_table[rect]
+                continue
             seen = self.last_seen.get(info.primary)
             if seen is None:
                 # Never heard from this peer: start its clock now so a
@@ -2590,11 +2584,26 @@ class ProtocolNode:
                 continue
             if now - seen <= timeout:
                 continue
+            if not self.owned.rect.is_neighbor_of(rect):
+                # A silent neighbor across a hole: the regions abutting
+                # it judge and inherit it, we only stop routing there.
+                del self.neighbor_table[rect]
+                continue
             self.suspected.add(info.primary)
             self.shortcuts.invalidate_address(info.primary)
             if info.secondary is not None:
                 # The secondary will promote itself and announce; route via
                 # the secondary in the meantime.
+                continue
+            if any(
+                other != rect
+                and other.intersects(rect)
+                and live.primary not in self.suspected
+                for other, live in self.neighbor_table.items()
+            ):
+                # A stale pre-split claim: live neighbors already hold
+                # (part of) its ground, so it is no hole.
+                del self.neighbor_table[rect]
                 continue
             # Last owner of the region is gone: become a caretaker until a
             # join fills the hole.
@@ -2606,10 +2615,36 @@ class ProtocolNode:
             )
             del self.neighbor_table[rect]
             self.caretaker_rects.add(rect)
+            self._holes_pending[rect] = (now, self._gossip_of.pop(rect, ()))
+        for rect in [r for r in self._gossip_of if r not in self.neighbor_table]:
+            del self._gossip_of[rect]
+        # 2b. A hole that outlived the settle time is ground we serve: its
+        #     dead owner's last gossip names the hole's other borders,
+        #     which become our neighbors (clocks started now).
+        settle = 2 * cfg.heartbeat_interval
+        for hole, (adopted, gossip) in list(self._holes_pending.items()):
+            if hole not in self.caretaker_rects:
+                del self._holes_pending[hole]
+                continue
+            if now - adopted < settle:
+                continue
+            del self._holes_pending[hole]
+            if not cfg.perimeter_probe_enabled:
+                continue
+            for other in gossip:
+                if (
+                    other.primary != self.address
+                    and other.primary not in self.suspected
+                    and other.rect not in self.neighbor_table
+                    and not other.rect.intersects(self.owned.rect)
+                    and hole.is_neighbor_of(other.rect)
+                ):
+                    self.neighbor_table[other.rect] = other
+                    self.last_seen[other.primary] = now
         # 3. Expire stale neighbor workload statistics: an entry whose
         #    heartbeats stopped (crash, departure, region re-granted
-        #    under a different rect) must not pin switch-candidate and
-        #    deflection decisions with its last-reported load forever.
+        #    under a different rect) must not pin switch-candidate
+        #    decisions with its last-reported load forever.
         #    Same timeout and clock-start discipline as the neighbor
         #    sweep above.
         for rect in list(self.neighbor_stats):
@@ -2623,7 +2658,6 @@ class ProtocolNode:
                 continue
             del self.neighbor_stats[rect]
             self._neighbor_stats_at.pop(rect, None)
-            self.neighbor_pressure.pop(rect, None)
             obs.inc("adapt.stats.expired")
 
     def _take_over_primary(self) -> None:
@@ -2657,6 +2691,13 @@ class ProtocolNode:
                 for info in self._replicated_neighbors
                 if self.owned.rect.is_neighbor_of(info.rect)
             }
+        # A secondary hears its region's neighbors only incidentally (an
+        # ack, a relayed request), never by heartbeat: an old sighting
+        # would get a live neighbor suspected and its region caretaken.
+        # Start each inherited neighbor's clock now, as for one never heard.
+        now = self.scheduler.now
+        for info in self.neighbor_table.values():
+            self.last_seen[info.primary] = now
         if failed is not None:
             self.suspected.add(failed)
             self.shortcuts.invalidate_address(failed)
@@ -2671,13 +2712,21 @@ class ProtocolNode:
             and self.owned.role == "secondary"
             and self.owned.rect == body.rect
         ):
-            self.owned.items = list(body.items)
             # The departing primary's store is authoritative; merging LWW
             # also keeps anything fresher the replica saw in a race.
             self.owned.store.merge(body.objects)
             self.owned.subs.merge(body.subscriptions)
             self._replicated_neighbors = self._replicated_neighbors or ()
             self._take_over_primary()
+            # Heartbeats the departer sent before leaving are still in
+            # flight; they must not win the region back for a ghost.
+            self._handoff = (
+                message.source,
+                body.rect,
+                self.scheduler.now
+                + self.config.heartbeat_interval
+                * self.config.failure_timeout_multiplier,
+            )
 
     def _on_secondary_released(self, message: Message) -> None:
         """Our primary disowned us: drop the stale role and rejoin."""
@@ -2705,7 +2754,6 @@ class ProtocolNode:
         return m.RegionStateBody(
             rect=self.owned.rect,
             peer=self.owned.peer,
-            items=tuple(self.owned.items),
             neighbors=tuple(self.neighbor_table.values()),
             objects=tuple(self.owned.store.records()),
             subscriptions=tuple(self.owned.subs.records()),
@@ -2729,7 +2777,6 @@ class ProtocolNode:
             rect=state.rect,
             role="primary",
             peer=state.peer,
-            items=list(state.items),
             store=GridIndex(records=state.objects),
             subs=SubIndex(records=state.subscriptions),
         )
@@ -2759,7 +2806,6 @@ class ProtocolNode:
             )
         self.neighbor_stats = {}
         self._neighbor_stats_at = {}
-        self.neighbor_pressure = {}
         # The cache was learned from the old vantage point; entries may
         # now overlap or neighbor the new region.  Start fresh.
         self.shortcuts.clear()
@@ -2767,7 +2813,7 @@ class ProtocolNode:
         # heartbeats still claim the rect it shipped us; yielding to that
         # stale evidence would orphan the region we just took.  One
         # failure-timeout comfortably outlives the in-flight window.
-        self._switch_handoff = (
+        self._handoff = (
             counterpart,
             state.rect,
             self.scheduler.now
@@ -2823,7 +2869,6 @@ class ProtocolNode:
         )
         self._switch_pending = True
         self._switch_proposed_rect = self.owned.rect
-        self._switch_shipped_count = len(self.owned.items)
         #: Versions captured with the request; store records written after
         #: this snapshot must be replayed if the switch completes.
         self._switch_shipped_versions = {
@@ -2892,11 +2937,6 @@ class ProtocolNode:
             # a region we no longer own; installing its state now would
             # clobber ownership we acquired since.
             return
-        # Items stored since the request's state capture were not shipped
-        # with it; replay them through normal publication so they reach
-        # the old region's new owner.
-        shipped = getattr(self, "_switch_shipped_count", len(self.owned.items))
-        leftovers = list(self.owned.items[shipped:])
         shipped_versions = getattr(self, "_switch_shipped_versions", None)
         store_leftovers = [
             record
@@ -2912,11 +2952,6 @@ class ProtocolNode:
             given_away=old_rect,
             given_away_peer=old_peer,
         )
-        for point, item in leftovers:
-            if not self._covers(self.owned.rect, point):
-                self._handle_publish(
-                    m.PublishBody(origin=self.address, point=point, item=item)
-                )
         # Store records written after the state capture were not shipped
         # with it; replay them through normal update routing so they reach
         # the old region's new owner.
@@ -2968,7 +3003,6 @@ class ProtocolNode:
             # Our territory grew: cached claims overlapping (or now
             # adjacent to) the merged rect are stale or misplaced.
             self.shortcuts.invalidate_overlapping(self.owned.rect)
-            self.owned.items.extend(body.items)
             if body.objects:
                 merged_back = self.owned.store.merge(body.objects)
                 obs.inc("store.node.migrated", merged_back)
@@ -3077,104 +3111,6 @@ class ProtocolNode:
             )
         self.delivered.append(body)
 
-    def _on_publish(self, message: Message) -> None:
-        self._handle_publish(message.body)
-
-    def _handle_publish(self, body: m.PublishBody) -> None:
-        if self._forward_to_my_primary(m.PUBLISH, body):
-            return
-        if self._owns_point(body.point) or self._caretaker_for(body.point):
-            assert self.owned is not None
-            self._window_served += 1
-            self.owned.items.append((body.point, body.item))
-            if self.owned.peer is not None and self.owned.role == "primary":
-                self._send_critical(
-                    self.owned.peer, m.REPLICATE,
-                    m.ReplicateBody(point=body.point, item=body.item),
-                )
-            if self._sub:
-                self._sub_match_publish(body)
-            return
-        if not self._route_forward(m.PUBLISH, body, body.point):
-            if self.owned is not None:
-                self.owned.items.append((body.point, body.item))
-                if self._sub:
-                    self._sub_match_publish(body)
-
-    def _on_replicate(self, message: Message) -> None:
-        body: m.ReplicateBody = message.body
-        if self.owned is not None and self.owned.role == "secondary":
-            self.owned.items.append((body.point, body.item))
-
-    # ------------------------------------------------------------------
-    # Location queries with fan-out
-    # ------------------------------------------------------------------
-    def _on_query(self, message: Message) -> None:
-        self._handle_query(message.body)
-
-    def _handle_query(self, body: m.QueryBody) -> None:
-        if self._forward_to_my_primary(m.QUERY, body):
-            return
-        target = body.rect.center
-        if self._owns_point(target) or self._caretaker_for(target):
-            self._serve_query(body)
-            return
-        if not self._route_forward(m.QUERY, body, target):
-            self._serve_query(body)
-
-    def _on_query_fanout(self, message: Message) -> None:
-        body: m.QueryBody = message.body
-        if self.owned is None or self.owned.role != "primary":
-            return
-        # Closed-rect touch, not interior overlap: a region meeting the
-        # query rect only at its own northeast corner can still own
-        # matching points (point coverage is closed at the high edges).
-        if not self.owned.rect.touches(body.rect):
-            return
-        self._serve_query(body)
-
-    def _serve_query(self, body: m.QueryBody) -> None:
-        if body.request_id in self._served_queries:
-            return
-        self._served_queries.add(body.request_id)
-        self._window_served += 1
-        assert self.owned is not None
-        matches = tuple(
-            (point, item)
-            for point, item in self.owned.items
-            if body.rect.covers(point, closed_low_x=True, closed_low_y=True)
-        )
-        result = m.QueryResultBody(
-            request_id=body.request_id,
-            executor=self.address,
-            region=self.owned.rect,
-            items=matches,
-            hops=body.hops,
-        )
-        self.network.send(self.address, body.origin, m.QUERY_RESULT, result)
-        # Fan out to neighbor regions overlapping the query rectangle,
-        # exactly as in the paper's subscription example (Section 2.2).
-        marked = body.marked_served(self.address)
-        for info in self.neighbor_table.values():
-            if info.primary in marked.served:
-                continue
-            if not info.rect.touches(body.rect):
-                continue
-            endpoint = self._live_endpoint(info)
-            if endpoint is None:
-                continue
-            self.network.send(
-                self.address, endpoint, m.QUERY_FANOUT,
-                marked.forwarded(),
-            )
-
-    def _on_query_result(self, message: Message) -> None:
-        body: m.QueryResultBody = message.body
-        self._learn_shortcut(
-            m.NeighborInfo(rect=body.region, primary=body.executor)
-        )
-        self.query_results.setdefault(body.request_id, []).append(body)
-
     # ------------------------------------------------------------------
     # Continuous-query subscriptions (repro.sub)
     # ------------------------------------------------------------------
@@ -3199,7 +3135,7 @@ class ProtocolNode:
             return
         if self.owned is None or self.owned.role != "primary":
             return
-        # Closed-rect touch, exactly like query fan-out: a region meeting
+        # Closed-rect touch, exactly like lookup fan-out: a region meeting
         # the watched rect only at a corner can still execute matching
         # events (point coverage is closed at the high edges).
         if not self.owned.rect.touches(body.record.rect):
@@ -3308,26 +3244,6 @@ class ProtocolNode:
             if not sub.is_live_at(now):
                 continue
             self._sub_notify(sub, event_key, record.point, record.payload)
-
-    def _sub_match_publish(self, body: m.PublishBody) -> None:
-        """Push an accepted publish event to covering subscriptions."""
-        assert self.owned is not None
-        if not len(self.owned.subs):
-            return
-        now = self.scheduler.now
-        if body.event_id is not None:
-            event_key: Tuple[Any, ...] = (
-                "pub", str(body.origin), body.event_id
-            )
-        else:
-            # Senders predating the plane carry no event id; fall back to
-            # the event's content (dedup then collapses identical events,
-            # which is the best an unkeyed publish can get).
-            event_key = ("pub", body.point.x, body.point.y, str(body.item))
-        for sub in self.owned.subs.match(body.point):
-            if not sub.is_live_at(now):
-                continue
-            self._sub_notify(sub, event_key, body.point, body.item)
 
     def _sub_notify(
         self,
@@ -3541,7 +3457,7 @@ class ProtocolNode:
             return
         if not self._route_forward(m.STORE_UPDATE, body, point):
             # Border position nobody is closer to: store best-effort here,
-            # mirroring the route/publish border rule.
+            # mirroring the route border rule.
             if self.owned is not None:
                 self._store_accept_update(body)
 
@@ -3712,7 +3628,12 @@ class ProtocolNode:
             self._serve_store_lookup(body)
             return
         if not self._route_forward(m.STORE_LOOKUP, body, target):
-            self._serve_store_lookup(body)
+            # Border target nobody is closer to: answer best-effort here,
+            # mirroring the store-update border rule.  A node holding no
+            # region (mid-join, or churned out) has nothing to answer
+            # with, and must not mark the request served.
+            if self.owned is not None:
+                self._serve_store_lookup(body)
 
     def _on_store_fanout(self, message: Message) -> None:
         body: m.StoreLookupBody = message.body

@@ -69,7 +69,7 @@ PRIORITY_CONTROL = 0
 PRIORITY_ACK = 1
 #: Committed data motion: store writes, replication, pub/sub fan-out.
 PRIORITY_DATA = 2
-#: Read-path traffic: routed requests, lookups, query fan-out.
+#: Read-path traffic: routed requests, lookups, lookup fan-out.
 PRIORITY_QUERY = 3
 #: Repairs and probes that other planes re-derive on their own.
 PRIORITY_GOSSIP = 4
@@ -110,8 +110,6 @@ for _kind in (
     m.STORE_PULL,
     m.STORE_REPAIR,
     m.STORE_REPLICATE,
-    m.REPLICATE,
-    m.PUBLISH,
     m.SUBSCRIBE,
     m.SUB_FANOUT,
     m.SUB_ACK,
@@ -123,9 +121,6 @@ for _kind in (
 for _kind in (
     m.ROUTE,
     m.ROUTE_DELIVERED,
-    m.QUERY,
-    m.QUERY_FANOUT,
-    m.QUERY_RESULT,
     m.STORE_LOOKUP,
     m.STORE_FANOUT,
     m.STORE_RESULT,
@@ -208,7 +203,7 @@ def measure_overload_overhead(
     the median of per-round ratios): identical seeded workloads with
     ``NodeConfig.overload_enabled`` on vs off.  The enabled side pays
     the real admission check on every delivery plus the pressure
-    arithmetic on every heartbeat; under ambient (non-storm) load it
+    arithmetic on every vitals roll; under ambient (non-storm) load it
     should shed nothing, so the measured ratio is the pure bookkeeping
     tax.  The PR contract is ratio < 1.10 for both workloads.
     """

@@ -12,13 +12,16 @@ This module holds the bounded, LRU-ordered cache each node maintains.
 Entries are learned passively (zero new steady-state messages), evicted
 eagerly whenever the node hears about a partition change overlapping the
 cached rectangle, and repaired lazily through MISROUTE NACKs when a
-stale entry is exercised anyway.
+stale entry is exercised anyway.  An entry nobody re-confirms also ages
+out: a far region whose primary departs or crashes is announced only to
+its neighbors, and a hop sent to a vanished endpoint gets no NACK, so
+only expiry keeps such an entry from black-holing requests for good.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.node import NodeAddress
 from repro.geometry import Point, Rect
@@ -45,6 +48,8 @@ class ShortcutCache:
         #: Stale entries repaired through a MISROUTE NACK.
         self.repairs = 0
         self._entries: "OrderedDict[Rect, m.NeighborInfo]" = OrderedDict()
+        #: When each entry was last learned (or re-confirmed).
+        self._learned_at: Dict[Rect, float] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -75,26 +80,28 @@ class ShortcutCache:
     # ------------------------------------------------------------------
     # Learning
     # ------------------------------------------------------------------
-    def learn(self, info: m.NeighborInfo) -> bool:
+    def learn(self, info: m.NeighborInfo, now: float = 0.0) -> bool:
         """Insert or refresh an entry; returns whether anything changed.
 
-        A new rectangle that overlaps cached rectangles replaces them
-        (the overlapped entries describe a pre-split/pre-merge partition
-        and are stale by construction).  Insertion past capacity evicts
-        the least recently used entry.
+        ``now`` stamps the entry as confirmed at that time.  A new
+        rectangle that overlaps cached rectangles replaces them (the
+        overlapped entries describe a pre-split/pre-merge partition and
+        are stale by construction).  Insertion past capacity evicts the
+        least recently used entry.
         """
         if not self.enabled:
             return False
+        self._learned_at[info.rect] = now
         existing = self._entries.get(info.rect)
         if existing is not None:
             self._entries[info.rect] = info
             self._entries.move_to_end(info.rect)
             return existing != info
         for rect in [r for r in self._entries if r.intersects(info.rect)]:
-            del self._entries[rect]
+            self._drop(rect)
         self._entries[info.rect] = info
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            self._drop(next(iter(self._entries)))
         return True
 
     def touch(self, rect: Rect) -> None:
@@ -105,9 +112,16 @@ class ShortcutCache:
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
+    def _drop(self, rect: Rect) -> None:
+        del self._entries[rect]
+        self._learned_at.pop(rect, None)
+
     def invalidate_rect(self, rect: Rect) -> bool:
         """Drop the entry for exactly ``rect``; returns whether one existed."""
-        return self._entries.pop(rect, None) is not None
+        if rect not in self._entries:
+            return False
+        self._drop(rect)
+        return True
 
     def invalidate_overlapping(self, rect: Rect) -> int:
         """Drop every entry equal to or sharing area with ``rect``.
@@ -118,7 +132,7 @@ class ShortcutCache:
         """
         stale = [r for r in self._entries if r == rect or r.intersects(rect)]
         for r in stale:
-            del self._entries[r]
+            self._drop(r)
         return len(stale)
 
     def invalidate_address(self, address: NodeAddress) -> int:
@@ -133,7 +147,7 @@ class ShortcutCache:
         for rect in list(self._entries):
             info = self._entries[rect]
             if info.primary == address:
-                del self._entries[rect]
+                self._drop(rect)
                 removed += 1
             elif info.secondary == address:
                 self._entries[rect] = info.with_secondary(None)
@@ -143,6 +157,7 @@ class ShortcutCache:
         """Drop everything (ownership changed under us); returns count."""
         count = len(self._entries)
         self._entries.clear()
+        self._learned_at.clear()
         return count
 
     # ------------------------------------------------------------------
@@ -153,6 +168,7 @@ class ShortcutCache:
         target: Point,
         better_than: float,
         eps: float = 1e-12,
+        fresh_since: Optional[float] = None,
     ) -> Optional[m.NeighborInfo]:
         """The cached entry closest to ``target``, if strictly better.
 
@@ -160,13 +176,23 @@ class ShortcutCache:
         ``target``, provided that distance is strictly below
         ``better_than`` (the caller passes its best plain-neighbor
         distance, preserving the strict-progress termination argument).
+        Entries last confirmed before ``fresh_since`` are expired first.
         """
         best_info: Optional[m.NeighborInfo] = None
         best_dist = better_than - eps
+        expired: List[Rect] = []
         for rect, info in self._entries.items():
+            if (
+                fresh_since is not None
+                and self._learned_at.get(rect, fresh_since) < fresh_since
+            ):
+                expired.append(rect)
+                continue
             distance = rect.distance_to_point(target)
             if distance < best_dist:
                 best_info, best_dist = info, distance
+        for rect in expired:
+            self._drop(rect)
         return best_info
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -161,11 +161,9 @@ class ScenarioResult:
     #: restructuring (must stay 0).
     lost_notifications: int = 0
     #: Overload-plane tallies (the flash_crowd scenario; 0 elsewhere):
-    #: messages shed by ingress admission, forwarding decisions deflected
-    #: around saturated nodes, and control-class sheds (must stay 0 --
-    #: admission never touches membership/failover traffic).
+    #: messages shed by ingress admission and control-class sheds (must
+    #: stay 0 -- admission never touches membership/failover traffic).
     sheds: int = 0
-    deflections: int = 0
     control_sheds: int = 0
     #: Largest per-node ingress queue depth observed during the storm,
     #: and the bound it had to stay under (0 = not asserted).
@@ -193,9 +191,9 @@ class ScenarioResult:
         if self.expected_notifications:
             delivered = self.expected_notifications - self.lost_notifications
             line += f" notify={delivered}/{self.expected_notifications}"
-        if self.sheds or self.deflections:
+        if self.sheds:
             line += (
-                f" shed={self.sheds} deflect={self.deflections}"
+                f" shed={self.sheds}"
                 f" peak_q={self.peak_queue_depth}/{self.queue_bound}"
             )
         return line
@@ -541,11 +539,13 @@ class _PubSubArena(_Arena):
     ) -> None:
         """Publish ``count`` events and assert oracle-expected delivery.
 
-        PUBLISH routing is fire-and-forget (only the NOTIFY leg rides
-        the reliable channel), so on a lossy network the application
-        retries the publish -- each retry is a distinct event, and the
-        at-least-once contract makes the duplicates harmless.  A pair
-        still missing after every attempt is recorded as lost.
+        A publish is a location-store write, so every hop and the
+        NOTIFY leg ride the reliable channel.  The reliable channel
+        still gives up after its retry budget, and a crash can take a
+        hop's only copy with it, so the application retries the
+        publish.  Each retry is a distinct event, and the at-least-once
+        contract makes the duplicates harmless.  A pair still missing
+        after every attempt is recorded as lost.
         """
         for op in self.pubsub.publish_step(count):
             expected = []
@@ -946,7 +946,6 @@ def _scenario_flash_crowd(
         if priority in (overload.PRIORITY_CONTROL, overload.PRIORITY_ACK)
     }
     result.sheds = sum(node.sheds for node in nodes)
-    result.deflections = sum(node.deflections for node in nodes)
     result.control_sheds = sum(
         count
         for node in nodes

@@ -130,7 +130,7 @@ def _subscription_lines(sample: Dict[str, Any]) -> List[str]:
 
 
 def _overload_lines(sample: Dict[str, Any]) -> List[str]:
-    """The overload panel: backpressure, shedding, and deflections.
+    """The overload panel: backpressure and shedding.
 
     Like the subscription panel, every field read is a ``.get`` with a
     zero default so samples predating the overload plane (or from a
@@ -139,20 +139,18 @@ def _overload_lines(sample: Dict[str, Any]) -> List[str]:
     nodes = list(sample.get("nodes", ()))
     sheds = sum(row.get("sheds", 0) for row in nodes)
     nacked = sum(row.get("shed_received", 0) for row in nodes)
-    deflections = sum(row.get("deflections", 0) for row in nodes)
     peak = max((row.get("pressure", 0.0) for row in nodes), default=0.0)
     lines = [
         f"  shed={sheds} shed-nacks-received={nacked} "
-        f"deflected={deflections} peak-pressure={peak:.2f}"
+        f"peak-pressure={peak:.2f}"
     ]
-    if sheds == 0 and nacked == 0 and deflections == 0 and peak == 0.0:
+    if sheds == 0 and nacked == 0 and peak == 0.0:
         lines.append("  (no overload observed)")
         return lines
     for row in nodes:
         if not (
             row.get("sheds", 0)
             or row.get("shed_received", 0)
-            or row.get("deflections", 0)
             or row.get("pressure", 0.0)
         ):
             continue
@@ -160,8 +158,7 @@ def _overload_lines(sample: Dict[str, Any]) -> List[str]:
             f"  {row.get('address', '?'):<18} "
             f"pressure={row.get('pressure', 0.0):<5.2f} "
             f"shed={row.get('sheds', 0):<5d} "
-            f"nacked={row.get('shed_received', 0):<5d} "
-            f"deflect={row.get('deflections', 0):d}"
+            f"nacked={row.get('shed_received', 0):d}"
         )
     return lines
 

@@ -190,6 +190,40 @@ class TestRestructuring:
         notifications = service.publish(nodes[0], Point(48, 48), "ping")
         assert len(notifications) == 1
 
+    @pytest.mark.parametrize(
+        "owner_coord, joiner_coord",
+        [((50.0, 50.0), (10.0, 10.0)), ((10.0, 10.0), (50.0, 50.0))],
+        ids=["edge-half-is-child", "edge-half-is-parent"],
+    )
+    def test_edge_touching_subscription_survives_split(
+        self, owner_coord, joiner_coord
+    ):
+        """Regression: ``subscribe`` registers at every region whose
+        closed rect touches the watched rect, but the split hook kept a
+        subscription only where the rects overlapped in their interiors.
+        The half that merely shares an edge with the watched rect lost it,
+        though closed-high point coverage makes that half the owner of
+        events on the shared edge."""
+        grid = BasicGeoGrid(BOUNDS, rng=random.Random(1))
+        owner = make_node(0, *owner_coord)
+        grid.join(owner)
+        service = GeoPubSub(grid)
+        # The watched rect's low edge lies on the y = 32 split line.
+        query = LocationQuery(query_rect=Rect(10, 32, 10, 10), focal=owner)
+        service.subscribe(query, duration=60.0)
+        grid.join(make_node(1, *joiner_coord))
+        edge_point = Point(15, 32)
+        low_half = next(
+            region for region in grid.space.regions
+            if region.rect == Rect(0, 0, 64, 32)
+        )
+        assert any(
+            s.query is query for s in service.subscriptions_at(low_half)
+        )
+        notifications = service.publish(owner, edge_point, "on the edge")
+        assert [n.payload for n in notifications] == ["on the edge"]
+        service.check_consistency()
+
     def test_consistency_under_dual_peer_churn(self):
         service, grid, nodes = build_service(n=40, dual=True)
         rng = random.Random(7)

@@ -114,9 +114,8 @@ class TestPrimarySwitch:
         cluster.publish(reporter, Point(6, 6), "persistent-item")
         drive_traffic(cluster, nodes, rng, hot_area, duration=200.0)
         cluster.settle(30)
-        results = cluster.query(reporter, Rect(5, 5, 2, 2))
-        items = [item for r in results for _, item in r.items]
-        assert "persistent-item" in items
+        records = cluster.store_lookup(reporter, Rect(5, 5, 2, 2))
+        assert "persistent-item" in [record.payload for record in records]
 
     def test_no_switch_without_load(self):
         cluster, nodes, rng = build_hot_cluster()

@@ -121,12 +121,39 @@ class TestFailover:
         cluster.run_for(15)  # let replication flow
         cluster.crash_node(victim.node.node_id)
         cluster.settle(30)
-        results = cluster.query(
+        records = cluster.store_lookup(
             observer.node.node_id,
             Rect(inside.x - 1, inside.y - 1, 2, 2),
         )
-        items = [item for r in results for _, item in r.items]
-        assert "precious" in items
+        assert "precious" in [record.payload for record in records]
+
+    def test_takeover_restarts_inherited_neighbor_clocks(self):
+        """Regression: a secondary hears its region's neighbors only
+        through incidental traffic (an ack, a relayed request), so its
+        last sighting of one can be arbitrarily old.  Failover judged the
+        inherited neighbor table by those sightings, suspected live
+        neighbors on the first sweep and caretook their regions; the
+        neighbor, still addressing the dead primary, never heartbeated
+        the new one, and the link stayed broken for good (found by the
+        pubsub chaos campaign, crash_restart, population 8, seed 7)."""
+        cluster = ProtocolCluster(BOUNDS, seed=12)
+        grow_cluster(cluster, 16)
+        cluster.settle(40)
+        secondary = next(
+            node for node in cluster.nodes.values()
+            if node.alive and node.is_secondary()
+            and node._replicated_neighbors
+        )
+        for info in secondary._replicated_neighbors:
+            secondary.last_seen[info.primary] = 0.0  # heard long ago
+        secondary._take_over_primary()
+        secondary._check_failures()
+        inherited = {
+            info.primary for info in secondary.neighbor_table.values()
+        }
+        assert inherited
+        assert not inherited & secondary.suspected
+        assert not secondary.caretaker_rects
 
     def test_crash_of_secondary_is_harmless(self):
         cluster = ProtocolCluster(BOUNDS, seed=14)

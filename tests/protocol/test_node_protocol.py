@@ -6,8 +6,22 @@ from repro import obs
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
+from repro.store.spatial import ObjectRecord
 
 BOUNDS = Rect(0, 0, 64, 64)
+
+
+def stored_payloads(node):
+    """Payloads in ``node``'s location store (published items included)."""
+    return [record.payload for record in node.owned.store.records()]
+
+
+def looked_up_payloads(cluster, node, rect):
+    """Payloads a range lookup from ``node`` over ``rect`` returns."""
+    return [
+        record.payload
+        for record in cluster.store_lookup(node.node.node_id, rect)
+    ]
 
 
 def two_node_cluster(dual_peer=True):
@@ -67,13 +81,13 @@ class TestJoinGrants:
         all_items = {
             item
             for node in (first, second)
-            for _, item in node.owned.items
+            for item in stored_payloads(node)
         }
         assert all_items == {"west-item", "east-item"}
         for node in (first, second):
-            for point, _ in node.owned.items:
+            for record in node.owned.store.records():
                 assert node.owned.rect.covers(
-                    point, closed_low_x=True, closed_low_y=True
+                    record.point, closed_low_x=True, closed_low_y=True
                 )
 
 
@@ -87,25 +101,22 @@ class TestApplicationApi:
 
     def test_publish_replicated_to_secondary(self):
         cluster, first, second = two_node_cluster(dual_peer=True)
-        cluster.publish(first.node.node_id, Point(30, 30), "item")
-        assert ("item" in [i for _, i in first.owned.items]) or (
-            "item" in [i for _, i in second.owned.items]
-        )
+        request_id = cluster.publish(first.node.node_id, Point(30, 30), "item")
+        assert request_id in first.store_acks
+        assert "item" in stored_payloads(first)
         # The secondary holds the replica.
-        assert any(i == "item" for _, i in second.owned.items)
+        assert "item" in stored_payloads(second)
 
     def test_query_returns_stored_items(self):
         cluster, first, second = two_node_cluster()
         cluster.publish(first.node.node_id, Point(30, 30), "find-me")
-        results = cluster.query(second.node.node_id, Rect(28, 28, 4, 4))
-        items = [item for r in results for _, item in r.items]
+        items = looked_up_payloads(cluster, second, Rect(28, 28, 4, 4))
         assert "find-me" in items
 
     def test_query_excludes_items_outside_rect(self):
         cluster, first, second = two_node_cluster()
         cluster.publish(first.node.node_id, Point(5, 5), "far-away")
-        results = cluster.query(second.node.node_id, Rect(30, 30, 4, 4))
-        items = [item for r in results for _, item in r.items]
+        items = looked_up_payloads(cluster, second, Rect(30, 30, 4, 4))
         assert "far-away" not in items
 
     def test_query_fanout_reaches_corner_contact_region(self):
@@ -130,12 +141,13 @@ class TestApplicationApi:
         # (32, 32) sits on the SW quadrant's closed high edges; inject it
         # there directly so routing ambiguity on the shared corner cannot
         # decide the test.
-        southwest.owned.items.append((Point(32, 32), "corner-item"))
-        # The query rect touches the SW quadrant *only* at that corner.
-        results = cluster.query(
-            northeast.node.node_id, Rect(32, 32, 8, 8)
+        southwest.owned.store.upsert(
+            ObjectRecord(
+                object_id="corner", point=Point(32, 32), payload="corner-item"
+            )
         )
-        items = [item for r in results for _, item in r.items]
+        # The query rect touches the SW quadrant *only* at that corner.
+        items = looked_up_payloads(cluster, northeast, Rect(32, 32, 8, 8))
         assert "corner-item" in items
 
 

@@ -1,7 +1,7 @@
 """Tests for the overload control plane (repro.protocol.overload).
 
 Classification and budgets are pure-function tests; admission, SHED
-NACKs, backpressure deflection, escalation, and stat expiry are driven
+NACKs, escalation, and stat expiry are driven
 through real ProtocolCluster nodes.  The final class pins the PR's
 purity contract: with ``overload_enabled=False`` (and even enabled but
 unstressed) the plane sends no messages and consumes no randomness, so
@@ -211,80 +211,6 @@ class TestAdmission:
         assert hot.sheds == 0
 
 
-class TestDeflection:
-    def find_forks(self, cluster, nodes):
-        """A (node, target, progress-making neighbors) triple to deflect."""
-        for node in nodes:
-            for corner in (Point(63, 63), Point(1, 63), Point(63, 1)):
-                own = node.owned.rect.distance_to_point(corner)
-                if own <= 0:
-                    continue
-                closer = []
-                for info in node.neighbor_table.values():
-                    endpoint = node._live_endpoint(info)
-                    if endpoint is None or endpoint == node.address:
-                        continue
-                    distance = info.rect.distance_to_point(corner)
-                    if distance < own - 1e-12:
-                        closer.append((distance, info.rect, endpoint))
-                if len(closer) >= 2:
-                    closer.sort(key=lambda row: row[0])
-                    return node, corner, closer
-        raise AssertionError("no node with two progress-making neighbors")
-
-    def test_deflects_around_saturated_best(self):
-        cluster, nodes = build_cluster(count=5)
-        node, target, closer = self.find_forks(cluster, nodes)
-        (_, best_rect, _), (_, _, calm_endpoint) = closer[0], closer[1]
-        node.neighbor_pressure = {best_rect: 1.0}
-        hops = []
-        node._send_hop = lambda addr, kind, body, inner_kind=None: (
-            hops.append(addr)
-        )
-        body = m.RouteBody(
-            origin=node.address, target=target, payload="x", request_id=31
-        )
-        assert node._route_forward(m.ROUTE, body, target)
-        assert node.deflections == 1
-        assert hops == [calm_endpoint]
-
-    def test_no_deflection_when_best_is_calm(self):
-        cluster, nodes = build_cluster(count=5)
-        node, target, closer = self.find_forks(cluster, nodes)
-        best_endpoint = closer[0][2]
-        node.neighbor_pressure = {}
-        hops = []
-        node._send_hop = lambda addr, kind, body, inner_kind=None: (
-            hops.append(addr)
-        )
-        body = m.RouteBody(
-            origin=node.address, target=target, payload="x", request_id=32
-        )
-        assert node._route_forward(m.ROUTE, body, target)
-        assert node.deflections == 0
-        assert hops == [best_endpoint]
-
-    def test_no_deflection_when_all_saturated(self):
-        """Strict progress beats calm: with no calm alternative the
-        greedy best is used even at full pressure."""
-        cluster, nodes = build_cluster(count=5)
-        node, target, closer = self.find_forks(cluster, nodes)
-        best_endpoint = closer[0][2]
-        node.neighbor_pressure = {
-            info.rect: 1.0 for info in node.neighbor_table.values()
-        }
-        hops = []
-        node._send_hop = lambda addr, kind, body, inner_kind=None: (
-            hops.append(addr)
-        )
-        body = m.RouteBody(
-            origin=node.address, target=target, payload="x", request_id=33
-        )
-        assert node._route_forward(m.ROUTE, body, target)
-        assert node.deflections == 0
-        assert hops == [best_endpoint]
-
-
 class TestEscalation:
     CONFIG = NodeConfig(
         dual_peer=False,
@@ -349,7 +275,6 @@ class TestStatExpiry:
             if not node.alive:
                 continue
             assert victim_rect not in node.neighbor_stats
-            assert victim_rect not in node.neighbor_pressure
 
     def test_fresh_stats_survive_the_sweep(self):
         cluster, nodes = build_cluster(count=4, settle=40)
@@ -427,29 +352,5 @@ class TestVitalsSurface:
             args[3] for args in sent if args[2] == m.HEARTBEAT
         ]
         assert beats
-        assert all(beat.pressure == 1.0 for beat in beats)
-
-    def test_receiver_records_neighbor_pressure(self):
-        cluster, nodes = build_cluster(count=4, settle=40)
-        node = nodes[0]
-        watcher = next(
-            n for n in nodes[1:]
-            if n.alive and node.owned.rect in n.neighbor_stats
-        )
-        beat = m.HeartbeatBody(
-            rect=node.owned.rect,
-            role="primary",
-            index=node.workload_index,
-            capacity=node.node.capacity,
-            pressure=0.9,
-        )
-        watcher._on_heartbeat(
-            Message(
-                source=node.address,
-                destination=watcher.address,
-                kind=m.HEARTBEAT,
-                body=beat,
-                sent_at=0.0,
-            )
-        )
-        assert watcher.neighbor_pressure[node.owned.rect] == 0.9
+        # Pressure rides the piggybacked vitals digest.
+        assert all(beat.vitals.pressure == 1.0 for beat in beats)

@@ -4,13 +4,14 @@ Unit coverage for :class:`repro.protocol.shortcuts.ShortcutCache` plus
 message-level behavior: passive learning from return paths and gossip,
 the MISROUTE NACK repair of a poisoned entry, eager invalidation on
 partition changes, caretaker-hole advertisement, and a seeded churn
-property at 1% message loss.
+property at 1% message loss.  ``python -m tests.protocol.churn_sweep``
+runs that property over an explicit seed range.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.node import synthetic_address
@@ -123,6 +124,20 @@ class TestShortcutCacheUnit:
 
     def test_best_of_empty_cache(self):
         assert ShortcutCache().best(Point(1, 1), better_than=100.0) is None
+
+    def test_best_expires_unconfirmed_entries(self):
+        """An entry nobody re-confirmed since ``fresh_since`` is dropped
+        rather than used: a hop to a vanished endpoint gets no NACK."""
+        cache = ShortcutCache()
+        entry = info(Rect(30, 30, 8, 8), 1)
+        cache.learn(entry, now=0.0)
+        target = Point(34, 34)
+        assert cache.best(target, better_than=10.0, fresh_since=0.0) == entry
+        assert cache.best(target, better_than=10.0, fresh_since=5.0) is None
+        assert entry.rect not in cache
+        # Re-learning re-confirms.
+        cache.learn(entry, now=10.0)
+        assert cache.best(target, better_than=10.0, fresh_since=5.0) == entry
 
 
 def build_cluster(count=10, seed=11, drop=0.0, config=None, latency=None):
@@ -344,6 +359,34 @@ class TestEagerInvalidation:
                     )
 
 
+class TestExpiry:
+    def test_unconfirmed_entry_naming_a_vanished_primary_is_not_used(self):
+        """An entry nobody re-confirmed for a failure-detection timeout
+        expires instead of routing: its primary may have departed, and a
+        hop to a vanished endpoint is lost without a MISROUTE."""
+        cluster, nodes, _ = build_cluster(count=12, seed=7)
+        origin = next(n for n in nodes if n.alive and n.is_primary())
+        far = max(
+            (
+                n
+                for n in nodes
+                if n.alive and n.is_primary() and n is not origin
+            ),
+            key=lambda n: n.owned.rect.center.distance_to(
+                origin.owned.rect.center
+            ),
+        )
+        assert not far.owned.rect.is_neighbor_of(origin.owned.rect)
+        target = far.owned.rect.center
+        origin.shortcuts.clear()
+        origin.shortcuts.learn(
+            m.NeighborInfo(rect=far.owned.rect, primary=synthetic_address(99)),
+            now=cluster.scheduler.now - 100.0,
+        )
+        ack = cluster.lookup(origin.node.node_id, target, timeout=30.0)
+        assert ack.executor == far.address
+
+
 class TestCaretakerAdvertisement:
     def test_heartbeats_advertise_caretaken_holes_as_shortcuts(self):
         """A hole has no owner to heartbeat it into neighbor tables; the
@@ -379,65 +422,87 @@ class TestCaretakerAdvertisement:
         )
 
 
+def check_routing_under_churn(seed):
+    """Seeded churn at 1% loss: joins, a departure, and a crash never
+    stop shortcut-cached routing from reaching an executor that serves
+    the target (the protocol analogue of the model layer's
+    executor-equivalence property)."""
+    cluster = ProtocolCluster(
+        BOUNDS,
+        seed=seed,
+        latency=DistanceLatency(),
+        drop_probability=0.01,
+    )
+    rng = random.Random(seed)
+    nodes = []
+    for _ in range(8):
+        nodes.append(
+            cluster.join_node(
+                Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
+                capacity=rng.choice([1, 10, 100]),
+            )
+        )
+    cluster.settle(60)
+    # Churn: two more joins, one graceful departure, one crash.
+    for _ in range(2):
+        nodes.append(
+            cluster.join_node(
+                Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
+                capacity=rng.choice([10, 100]),
+            )
+        )
+    departer = next(
+        n for n in nodes if n.alive and n.is_primary()
+    )
+    cluster.depart_node(departer.node.node_id)
+    cluster.settle(30)
+    victim = next(
+        n for n in reversed(nodes) if n.alive and n.is_primary()
+    )
+    cluster.crash_node(victim.node.node_id)
+    cluster.settle(90)
+    origins = [n for n in nodes if n.alive and n.joined]
+    for _ in range(6):
+        target = Point(rng.uniform(1, 63), rng.uniform(1, 63))
+        ack = cluster.lookup(
+            rng.choice(origins).node.node_id, target, timeout=120.0
+        )
+        executor = next(
+            n
+            for n in cluster.nodes.values()
+            if n.alive and n.address == ack.executor
+        )
+        rects = [executor.owned.rect] + list(executor.caretaker_rects)
+        assert any(
+            r.covers(target, closed_low_x=True, closed_low_y=True)
+            or r.distance_to_point(target) < 1e-9
+            for r in rects
+        )
+
+
 class TestChurnProperty:
-    @settings(max_examples=3, deadline=None)
+    # Derandomized so every run checks the same draws; the examples pin
+    # each seed that exposed a churn-routing bug.
+    @settings(max_examples=3, deadline=None, derandomize=True)
     @given(seed=st.integers(min_value=0, max_value=10_000))
+    # A departed primary kept alive by gossip of a stale pre-split entry.
+    @example(seed=2)
+    @example(seed=3)
+    @example(seed=12)
+    @example(seed=13)
+    # A shortcut still naming a departed primary.
+    @example(seed=111)
+    @example(seed=185)
+    # A target beyond a caretaken hole.
+    @example(seed=1)
+    @example(seed=15)
+    # A suspected primary relayed in heartbeat gossip.
+    @example(seed=270)
+    # The successor yields to the departer's in-flight heartbeat.
+    @example(seed=459)
+    @example(seed=913)
     def test_routing_correct_under_churn_and_loss(self, seed):
-        """Seeded churn at 1% loss: joins, a departure, and a crash never
-        stop shortcut-cached routing from reaching an executor that
-        serves the target (the protocol analogue of the model layer's
-        executor-equivalence property)."""
-        cluster = ProtocolCluster(
-            BOUNDS,
-            seed=seed,
-            latency=DistanceLatency(),
-            drop_probability=0.01,
-        )
-        rng = random.Random(seed)
-        nodes = []
-        for _ in range(8):
-            nodes.append(
-                cluster.join_node(
-                    Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
-                    capacity=rng.choice([1, 10, 100]),
-                )
-            )
-        cluster.settle(60)
-        # Churn: two more joins, one graceful departure, one crash.
-        for _ in range(2):
-            nodes.append(
-                cluster.join_node(
-                    Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
-                    capacity=rng.choice([10, 100]),
-                )
-            )
-        departer = next(
-            n for n in nodes if n.alive and n.is_primary()
-        )
-        cluster.depart_node(departer.node.node_id)
-        cluster.settle(30)
-        victim = next(
-            n for n in reversed(nodes) if n.alive and n.is_primary()
-        )
-        cluster.crash_node(victim.node.node_id)
-        cluster.settle(90)
-        origins = [n for n in nodes if n.alive and n.joined]
-        for _ in range(6):
-            target = Point(rng.uniform(1, 63), rng.uniform(1, 63))
-            ack = cluster.lookup(
-                rng.choice(origins).node.node_id, target, timeout=120.0
-            )
-            executor = next(
-                n
-                for n in cluster.nodes.values()
-                if n.alive and n.address == ack.executor
-            )
-            rects = [executor.owned.rect] + list(executor.caretaker_rects)
-            assert any(
-                r.covers(target, closed_low_x=True, closed_low_y=True)
-                or r.distance_to_point(target) < 1e-9
-                for r in rects
-            )
+        check_routing_under_churn(seed)
 
     def test_miss_rate_falls_once_cache_converges(self):
         """On a stable partition the cache warms up: the second batch of

@@ -13,7 +13,9 @@ import pytest
 
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
+from repro.protocol import messages as m
 from repro.sim.churn import ChurnConfig, ChurnProcess
+from repro.sim.transport import Message
 
 BOUNDS = Rect(0, 0, 64, 64)
 
@@ -120,6 +122,34 @@ class TestDataPlane:
         ]
         roles = sorted(p.owned.role for p in holders)
         assert roles == ["primary", "secondary"]
+
+
+class TestRegionlessNode:
+    def test_lookup_at_node_without_region_is_not_served(self):
+        """Regression: a node holding no region (mid-join, or after
+        churn) that received a STORE_LOOKUP found no next hop and fell
+        into ``_serve_store_lookup``, tripping its ``assert self.owned is
+        not None``.  It now stays silent, like a regionless node given a
+        store update, and does not mark the request served."""
+        cluster = ProtocolCluster(BOUNDS, seed=3)
+        first = cluster.join_node(Point(10, 10))
+        joiner = cluster.spawn_node(Point(50, 50))
+        joiner.start_join(entry=first.address)  # alive, no grant yet
+        assert joiner.alive and joiner.owned is None
+        body = m.StoreLookupBody(
+            origin=first.address, rect=Rect(40, 40, 4, 4), request_id=77
+        )
+        joiner._receive(
+            Message(
+                source=first.address,
+                destination=joiner.address,
+                kind=m.STORE_LOOKUP,
+                body=body,
+                sent_at=cluster.scheduler.now,
+            )
+        )
+        assert 77 not in joiner._served_store_lookups
+        assert 77 not in first.store_results
 
 
 class TestFailover:

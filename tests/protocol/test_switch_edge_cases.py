@@ -7,6 +7,7 @@ import pytest
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
+from repro.store.spatial import ObjectRecord
 
 BOUNDS = Rect(0, 0, 64, 64)
 
@@ -27,8 +28,8 @@ def make_request(node, index=5.0):
         state=m.RegionStateBody(
             rect=node.owned.rect,
             peer=None,
-            items=tuple(node.owned.items),
             neighbors=tuple(node.neighbor_table.values()),
+            objects=tuple(node.owned.store.records()),
         ),
         initiator_capacity=node.node.capacity,
         initiator_index=index,
@@ -90,7 +91,6 @@ class TestAcceptedSwitch:
         strong_rect = strong.owned.rect
         request = make_request(weak, index=9.0)
         weak._switch_pending = True
-        weak._switch_shipped_count = len(weak.owned.items)
         cluster.network.send(
             weak.address, strong.address, m.SWITCH_REQUEST, request
         )
@@ -105,15 +105,16 @@ class TestAcceptedSwitch:
     def test_items_travel_with_region(self):
         cluster, weak, strong = two_primaries()
         point = weak.owned.rect.center
-        weak.owned.items.append((point, "cargo"))
+        weak.owned.store.upsert(
+            ObjectRecord(object_id="cargo", point=point, payload="cargo")
+        )
         request = make_request(weak, index=9.0)
         weak._switch_pending = True
-        weak._switch_shipped_count = len(weak.owned.items)
         cluster.network.send(
             weak.address, strong.address, m.SWITCH_REQUEST, request
         )
         cluster.run_for(20)
-        assert ("cargo" in [item for _, item in strong.owned.items])
+        assert "cargo" in strong.owned.store
 
     def test_neighbors_learn_new_owner(self):
         cluster = ProtocolCluster(
@@ -148,7 +149,6 @@ class TestAcceptedSwitch:
         weak_rect = weak.owned.rect
         request = make_request(weak, index=9.0)
         weak._switch_pending = True
-        weak._switch_shipped_count = len(weak.owned.items)
         cluster.network.send(
             weak.address, strong.address, m.SWITCH_REQUEST, request
         )

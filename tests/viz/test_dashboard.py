@@ -173,14 +173,14 @@ class TestOverloadPanel:
         sample = _sample(
             nodes=[
                 _node_row(
-                    pressure=0.8, sheds=12, shed_received=0, deflections=2,
+                    pressure=0.8, sheds=12, shed_received=0,
                 ),
                 _node_row(address="10.0.0.2:7000"),
             ]
         )
         page = render_dashboard([sample])
         assert (
-            "shed=12 shed-nacks-received=0 deflected=2 peak-pressure=0.80"
+            "shed=12 shed-nacks-received=0 peak-pressure=0.80"
             in page
         )
         assert "pressure=0.80" in page
