@@ -12,20 +12,55 @@ network bandwidth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, NoReturn, Tuple
 
 from repro.geometry import Point
 
 
-@dataclass(frozen=True)
 class NodeAddress:
-    """The ``(IP, port)`` endpoint of a node's GeoGrid middleware."""
+    """The ``(IP, port)`` endpoint of a node's GeoGrid middleware.
+
+    Immutable.  Addresses key every transport and neighbor-table lookup,
+    so the hash -- equal to ``hash((ip, port))`` -- is computed once.
+    """
+
+    __slots__ = ("ip", "port", "_hash")
 
     ip: str
     port: int
 
+    def __init__(self, ip: str, port: int) -> None:
+        _set_ip(self, ip)
+        _set_port(self, port)
+        _set_hash(self, hash((ip, port)))
+
+    def __setattr__(self, name: str, value: Any) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r} of NodeAddress")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r} of NodeAddress")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not NodeAddress:
+            return NotImplemented
+        return self.ip == other.ip and self.port == other.port
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, int]]:
+        return (NodeAddress, (self.ip, self.port))
+
+    def __repr__(self) -> str:
+        return f"NodeAddress(ip={self.ip!r}, port={self.port!r})"
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.ip}:{self.port}"
+
+
+_set_ip = NodeAddress.ip.__set__  # type: ignore[attr-defined]
+_set_port = NodeAddress.port.__set__  # type: ignore[attr-defined]
+_set_hash = NodeAddress._hash.__set__  # type: ignore[attr-defined]
 
 
 def synthetic_address(node_id: int) -> NodeAddress:

@@ -16,8 +16,7 @@ predicates this module implements exactly:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, NoReturn, Optional, Tuple
 
 from repro.geometry.point import Point
 
@@ -40,38 +39,76 @@ class SplitAxis(enum.Enum):
     HORIZONTAL = "horizontal"
 
 
-@dataclass(frozen=True)
 class Rect:
     """An axis-aligned rectangle ``<x, y, width, height>``.
 
     Instances are immutable; all mutating-looking operations return new
-    rectangles.
+    rectangles.  Rectangles are dictionary keys and geometry operands on
+    every routed message, so the east and north edges ``x2``/``y2`` are
+    stored at construction and the hash is computed once, on first use.
+    The hash equals ``hash((x, y, width, height))``.
     """
+
+    __slots__ = ("x", "y", "width", "height", "x2", "y2", "_hash")
 
     x: float
     y: float
     width: float
     height: float
+    #: The x coordinate of the east edge.
+    x2: float
+    #: The y coordinate of the north edge.
+    y2: float
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+    def __init__(self, x: float, y: float, width: float, height: float) -> None:
+        if width <= 0 or height <= 0:
             raise ValueError(
                 f"rectangle extents must be positive, got "
-                f"width={self.width!r} height={self.height!r}"
+                f"width={width!r} height={height!r}"
             )
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_width(self, width)
+        _set_height(self, height)
+        _set_x2(self, x + width)
+        _set_y2(self, y + height)
+        _set_hash(self, -1)  # no hash() returns -1: "not computed yet"
+
+    def __setattr__(self, name: str, value: Any) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r} of Rect")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r} of Rect")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not Rect:
+            return NotImplemented
+        return (
+            self.x == other.x
+            and self.y == other.y
+            and self.width == other.width
+            and self.height == other.height
+        )
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value == -1:
+            value = hash((self.x, self.y, self.width, self.height))
+            _set_hash(self, value)
+        return value
+
+    def __reduce__(self) -> Tuple[type, Tuple[float, float, float, float]]:
+        return (Rect, (self.x, self.y, self.width, self.height))
+
+    def __repr__(self) -> str:
+        return (
+            f"Rect(x={self.x!r}, y={self.y!r}, width={self.width!r}, "
+            f"height={self.height!r})"
+        )
 
     # ------------------------------------------------------------------
     # Derived coordinates
     # ------------------------------------------------------------------
-    @property
-    def x2(self) -> float:
-        """The x coordinate of the east edge."""
-        return self.x + self.width
-
-    @property
-    def y2(self) -> float:
-        """The y coordinate of the north edge."""
-        return self.y + self.height
 
     @property
     def area(self) -> float:
@@ -191,19 +228,20 @@ class Rect:
         the shared edge piece has positive length.  Overlapping rectangles
         and rectangles that only touch at a corner are *not* neighbors.
         """
-        if self.intersects(other):
+        # Inlined intersects/overlap_length_*: heartbeat processing tests
+        # every gossiped region against our own.
+        x, y, x2, y2 = self.x, self.y, self.x2, self.y2
+        ox, oy, ox2, oy2 = other.x, other.y, other.x2, other.y2
+        if x < ox2 and ox < x2 and y < oy2 and oy < y2:
             return False
-        touches_vertically = (
-            abs(self.x2 - other.x) <= EDGE_TOLERANCE
-            or abs(other.x2 - self.x) <= EDGE_TOLERANCE
-        )
-        if touches_vertically and self.overlap_length_y(other) > EDGE_TOLERANCE:
-            return True
-        touches_horizontally = (
-            abs(self.y2 - other.y) <= EDGE_TOLERANCE
-            or abs(other.y2 - self.y) <= EDGE_TOLERANCE
-        )
-        return touches_horizontally and self.overlap_length_x(other) > EDGE_TOLERANCE
+        if abs(x2 - ox) <= EDGE_TOLERANCE or abs(ox2 - x) <= EDGE_TOLERANCE:
+            overlap_y = (oy2 if oy2 < y2 else y2) - (oy if oy > y else y)
+            if overlap_y > EDGE_TOLERANCE:
+                return True
+        if abs(y2 - oy) <= EDGE_TOLERANCE or abs(oy2 - y) <= EDGE_TOLERANCE:
+            overlap_x = (ox2 if ox2 < x2 else x2) - (ox if ox > x else x)
+            return overlap_x > EDGE_TOLERANCE
+        return False
 
     # ------------------------------------------------------------------
     # Distance
@@ -217,8 +255,18 @@ class Rect:
         distance (rather than, say, distance between centers) guarantees
         that every hop makes strict progress on a rectangular tiling.
         """
-        dx = max(self.x - point.x, 0.0, point.x - self.x2)
-        dy = max(self.y - point.y, 0.0, point.y - self.y2)
+        px = point.x
+        dx = self.x - px
+        if dx < 0.0:
+            dx = px - self.x2
+            if dx < 0.0:
+                dx = 0.0
+        py = point.y
+        dy = self.y - py
+        if dy < 0.0:
+            dy = py - self.y2
+            if dy < 0.0:
+                dy = 0.0
         return (dx * dx + dy * dy) ** 0.5
 
     # ------------------------------------------------------------------
@@ -302,3 +350,14 @@ class Rect:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.x:g}, {self.y:g}, {self.width:g}, {self.height:g}>"
+
+
+# Slot setters, bound once: the constructor runs for every region, split
+# and query rectangle, and these skip ``object.__setattr__``'s lookup.
+_set_x = Rect.x.__set__  # type: ignore[attr-defined]
+_set_y = Rect.y.__set__  # type: ignore[attr-defined]
+_set_width = Rect.width.__set__  # type: ignore[attr-defined]
+_set_height = Rect.height.__set__  # type: ignore[attr-defined]
+_set_x2 = Rect.x2.__set__  # type: ignore[attr-defined]
+_set_y2 = Rect.y2.__set__  # type: ignore[attr-defined]
+_set_hash = Rect._hash.__set__  # type: ignore[attr-defined]

@@ -261,6 +261,9 @@ class ProtocolNode:
         bounds: Optional[Rect] = None,
     ) -> None:
         self.node = node
+        #: This node's endpoint address (an attribute, not a property of
+        #: ``node``: it is read on every message the node handles).
+        self.address: NodeAddress = node.address
         self.network = network
         self.scheduler = scheduler
         self.bootstrap = bootstrap
@@ -306,6 +309,10 @@ class ProtocolNode:
         #: table ever holds both claims; this cache lets any bystander
         #: notice the conflict and trigger a confrontation.
         self._claims_heard: Dict[Rect, Tuple[m.NeighborInfo, float]] = {}
+        #: When ``_claims_heard`` was last swept of claims older than the
+        #: failure timeout (readers skip those, so a sweep per heartbeat
+        #: interval only bounds its size).
+        self._claims_swept_at = -math.inf
         #: Conflicting claim pairs already pointed at each other, with the
         #: time of the last notification (rate limit for the witness).
         self._claims_confronted: Dict[
@@ -545,11 +552,6 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     # Identity helpers
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> NodeAddress:
-        """This node's endpoint address."""
-        return self.node.address
-
     def is_primary(self) -> bool:
         """Whether this node currently serves a region as primary."""
         return self.owned is not None and self.owned.role == "primary"
@@ -911,12 +913,14 @@ class ProtocolNode:
             origin=self.address, target=target, payload=payload,
             request_id=request_id,
         )
-        ctx = causal.operation(
-            "route_request",
-            origin=str(self.address),
-            target=str(target),
-            request_id=request_id,
-        )
+        ctx = None
+        if obs.flightrec() is not None:
+            ctx = causal.operation(
+                "route_request",
+                origin=str(self.address),
+                target=str(target),
+                request_id=request_id,
+            )
         with causal.using(ctx):
             self._handle_route(body)
         return request_id
@@ -959,14 +963,16 @@ class ProtocolNode:
             origin=self.address, record=record, request_id=request_id,
             prev_point=prev_point,
         )
-        ctx = causal.operation(
-            "store_update",
-            origin=str(self.address),
-            object_id=str(object_id),
-            point=str(point),
-            version=version,
-            request_id=request_id,
-        )
+        ctx = None
+        if obs.flightrec() is not None:
+            ctx = causal.operation(
+                "store_update",
+                origin=str(self.address),
+                object_id=str(object_id),
+                point=str(point),
+                version=version,
+                request_id=request_id,
+            )
         with causal.using(ctx):
             self._handle_store_update(body)
         return request_id
@@ -983,12 +989,14 @@ class ProtocolNode:
         body = m.StoreLookupBody(
             origin=self.address, rect=rect, request_id=request_id
         )
-        ctx = causal.operation(
-            "store_lookup",
-            origin=str(self.address),
-            rect=str(rect),
-            request_id=request_id,
-        )
+        ctx = None
+        if obs.flightrec() is not None:
+            ctx = causal.operation(
+                "store_lookup",
+                origin=str(self.address),
+                rect=str(rect),
+                request_id=request_id,
+            )
         with causal.using(ctx):
             self._handle_store_lookup(body)
         return request_id
@@ -1056,7 +1064,8 @@ class ProtocolNode:
                 self._on_reliable_ack(message)
             return
         self.last_seen[message.source] = self.scheduler.now
-        self.suspected.discard(message.source)
+        if self.suspected:
+            self.suspected.discard(message.source)
         if self._overload and not self._overload_admit(message):
             return
         handler = self._handlers.get(message.kind)
@@ -1302,15 +1311,38 @@ class ProtocolNode:
         own_distance = self.owned.rect.distance_to_point(target)
         best_address: Optional[NodeAddress] = None
         best_distance = own_distance
+        threshold = best_distance - 1e-12
+        address = self.address
+        suspected = self.suspected
+        tx = target.x
+        ty = target.y
         for info in self.neighbor_table.values():
-            endpoint = self._live_endpoint(info)
-            if endpoint is None or endpoint == self.address:
+            # Rect.distance_to_point and _live_endpoint, inlined: this
+            # scan runs on every hop.  Only a closer entry needs the
+            # endpoint checks.
+            rect = info.rect
+            dx = rect.x - tx
+            if dx < 0.0:
+                dx = tx - rect.x2
+                if dx < 0.0:
+                    dx = 0.0
+            dy = rect.y - ty
+            if dy < 0.0:
+                dy = ty - rect.y2
+                if dy < 0.0:
+                    dy = 0.0
+            distance = (dx * dx + dy * dy) ** 0.5
+            if distance < threshold:
+                endpoint = info.primary
+                if suspected and endpoint in suspected:
+                    endpoint = info.secondary
+                    if endpoint is None or endpoint in suspected:
+                        continue
                 # A stale entry naming ourselves is never a hop.
-                continue
-            distance = info.rect.distance_to_point(target)
-            if distance < best_distance - 1e-12:
-                best_distance = distance
-                best_address = endpoint
+                if endpoint != address:
+                    best_distance = distance
+                    threshold = distance - 1e-12
+                    best_address = endpoint
         if self.shortcuts.enabled:
             # An entry unconfirmed for a failure-detection timeout is as
             # suspect as a silent neighbor (see ShortcutCache).
@@ -1333,13 +1365,14 @@ class ProtocolNode:
                         vitals.shortcut_hits += 1
                         vitals._win_shortcut_hits += 1
                     obs.inc("routing.shortcut.hit")
-                    causal.annotate(
-                        "shortcut_hop",
-                        sender=str(self.address),
-                        kind=kind,
-                        rect=str(shortcut.rect),
-                        endpoint=str(endpoint),
-                    )
+                    if obs.flightrec() is not None:
+                        causal.annotate(
+                            "shortcut_hop",
+                            sender=str(self.address),
+                            kind=kind,
+                            rect=str(shortcut.rect),
+                            endpoint=str(endpoint),
+                        )
                     envelope = m.ShortcutHopBody(
                         kind=kind,
                         body=body.forwarded(),
@@ -1461,9 +1494,12 @@ class ProtocolNode:
         """
         if not self.shortcuts.enabled or self.owned is None:
             return
-        if info.primary == self.address or info.secondary == self.address:
+        address = self.address
+        if info.primary == address or (
+            info.secondary is not None and info.secondary == address
+        ):
             return
-        if info.primary in self.suspected:
+        if self.suspected and info.primary in self.suspected:
             return
         own = self.owned.rect
         if info.rect == own or info.rect.intersects(own):
@@ -1977,12 +2013,12 @@ class ProtocolNode:
             self.config.heartbeat_interval
             * self.config.failure_timeout_multiplier
         )
-        stale = [
-            rect for rect, (_, heard_at) in self._claims_heard.items()
-            if now - heard_at > horizon
-        ]
-        for rect in stale:
-            del self._claims_heard[rect]
+        if now - self._claims_swept_at >= self.config.heartbeat_interval:
+            self._claims_swept_at = now
+            self._claims_heard = {
+                rect: claim for rect, claim in self._claims_heard.items()
+                if now - claim[1] <= horizon
+            }
         cached = self._claims_heard.get(info.rect)
         if (
             cached is not None
@@ -2379,23 +2415,16 @@ class ProtocolNode:
             self.owned.peer = message.source
         # A primary heartbeat is first-hand: its rect is the sender's own
         # territory right now, so an overlap with ours is a real conflict.
-        if self._resolve_ownership_conflict(
-            m.NeighborInfo(
-                rect=body.rect, primary=message.source,
-                secondary=body.secondary,
-            ),
-            direct=True,
-        ):
+        sender_info = m.NeighborInfo(
+            rect=body.rect, primary=message.source,
+            secondary=body.secondary,
+        )
+        if self._resolve_ownership_conflict(sender_info, direct=True):
             return
         if self.owned is not None and body.rect != self.owned.rect:
             self.neighbor_stats[body.rect] = (body.index, body.capacity)
             self._neighbor_stats_at[body.rect] = self.scheduler.now
-        self._witness_claim(
-            m.NeighborInfo(
-                rect=body.rect, primary=message.source,
-                secondary=body.secondary,
-            )
-        )
+        self._witness_claim(sender_info)
         existing = self.neighbor_table.get(body.rect)
         if (
             self.config.claim_witness_enabled
@@ -2429,10 +2458,6 @@ class ProtocolNode:
                 ),
             )
         adjacent = self.owned is not None and self._borders(body.rect)
-        sender_info = m.NeighborInfo(
-            rect=body.rect, primary=message.source,
-            secondary=body.secondary,
-        )
         if existing is not None or adjacent:
             # A fresh first-hand claim supersedes any cached claim
             # overlapping the same ground, and any table entry there that
@@ -2459,21 +2484,38 @@ class ProtocolNode:
             # confrontation heartbeat): worth a shortcut entry.
             self._learn_shortcut(sender_info)
         # Gossip: adopt adjacent entries we are missing; cache the rest.
-        if self.owned is None:
+        owned = self.owned
+        if owned is None:
             return
+        # Nothing below changes what we own, so the cheap rejection tests
+        # of the calls in this loop are hoisted and inlined: it runs for
+        # every neighbor of every neighbor on every heartbeat.
+        address = self.address
+        own = owned.rect
+        x, y, x2, y2 = own.x, own.y, own.x2, own.y2
+        serving = owned.role == "primary"
+        witness = self.config.claim_witness_enabled
+        suspected = self.suspected
+        table = self.neighbor_table
         for info in body.neighbors:
-            if info.primary == self.address:
+            if info.primary == address:
                 continue
+            rect = info.rect
             # Relayed claims overlapping our territory provoke a direct
             # confrontation (never an abandonment -- gossip can be stale,
             # and a probe to a genuinely dead claimant costs one message).
-            self._resolve_ownership_conflict(info, direct=False)
-            self._witness_claim(info)
-            if info.primary in self.suspected:
+            if serving and (
+                (rect.x < x2 and x < rect.x2 and rect.y < y2 and y < rect.y2)
+                or rect == own
+            ):
+                self._resolve_ownership_conflict(info, direct=False)
+            if witness:
+                self._witness_claim(info)
+            if suspected and info.primary in suspected:
                 continue
-            if info.rect in self.neighbor_table:
+            if rect in table:
                 continue
-            if info.rect == self.owned.rect:
+            if rect == own:
                 continue
             if self._borders(info.rect):
                 self.caretaker_rects.discard(info.rect)
@@ -3075,12 +3117,13 @@ class ProtocolNode:
         if self._forward_to_my_primary(m.ROUTE, body):
             return
         if self._owns_point(body.target) or self._caretaker_for(body.target):
-            causal.annotate(
-                "route_served",
-                executor=str(self.address),
-                request_id=body.request_id,
-                hops=body.hops,
-            )
+            if obs.flightrec() is not None:
+                causal.annotate(
+                    "route_served",
+                    executor=str(self.address),
+                    request_id=body.request_id,
+                    hops=body.hops,
+                )
             self._window_served += 1
             if self.on_deliver is not None:
                 self.on_deliver(body.target, body.payload)

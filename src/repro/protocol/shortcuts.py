@@ -20,7 +20,7 @@ only expiry keeps such an entry from black-holing requests for good.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.node import NodeAddress
@@ -47,9 +47,16 @@ class ShortcutCache:
         self.misses = 0
         #: Stale entries repaired through a MISROUTE NACK.
         self.repairs = 0
-        self._entries: "OrderedDict[Rect, m.NeighborInfo]" = OrderedDict()
+        #: Entries in LRU order, least recently used first.  A plain dict
+        #: (re-inserting a key moves it to the end): iterating an
+        #: ``OrderedDict`` re-hashes every key, and ``best`` iterates the
+        #: cache on every routing hop.
+        self._entries: Dict[Rect, m.NeighborInfo] = {}
         #: When each entry was last learned (or re-confirmed).
         self._learned_at: Dict[Rect, float] = {}
+        #: A lower bound on the stamps in ``_learned_at``: no entry can
+        #: expire before ``fresh_since`` passes it.
+        self._stamp_floor = math.inf
 
     # ------------------------------------------------------------------
     # Introspection
@@ -92,12 +99,13 @@ class ShortcutCache:
         if not self.enabled:
             return False
         self._learned_at[info.rect] = now
-        existing = self._entries.get(info.rect)
+        if now < self._stamp_floor:
+            self._stamp_floor = now
+        existing = self._entries.pop(info.rect, None)
         if existing is not None:
             self._entries[info.rect] = info
-            self._entries.move_to_end(info.rect)
             return existing != info
-        for rect in [r for r in self._entries if r.intersects(info.rect)]:
+        for rect in self._overlapping(info.rect):
             self._drop(rect)
         self._entries[info.rect] = info
         while len(self._entries) > self.capacity:
@@ -106,12 +114,22 @@ class ShortcutCache:
 
     def touch(self, rect: Rect) -> None:
         """Mark ``rect`` as most recently used (after a successful hop)."""
-        if rect in self._entries:
-            self._entries.move_to_end(rect)
+        info = self._entries.pop(rect, None)
+        if info is not None:
+            self._entries[rect] = info
 
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
+    def _overlapping(self, rect: Rect) -> List[Rect]:
+        """Cached rects sharing area with ``rect`` (``Rect.intersects``,
+        inlined: gossip runs this for every learned claim)."""
+        x, y, x2, y2 = rect.x, rect.y, rect.x2, rect.y2
+        return [
+            r for r in self._entries
+            if r.x < x2 and x < r.x2 and r.y < y2 and y < r.y2
+        ]
+
     def _drop(self, rect: Rect) -> None:
         del self._entries[rect]
         self._learned_at.pop(rect, None)
@@ -130,7 +148,9 @@ class ShortcutCache:
         merge, adaptation or failover announcement for ``rect`` makes any
         cached claim overlapping it suspect.  Returns the eviction count.
         """
-        stale = [r for r in self._entries if r == rect or r.intersects(rect)]
+        stale = self._overlapping(rect)
+        if rect in self._entries and rect not in stale:
+            stale.append(rect)  # a rect too thin for float arithmetic
         for r in stale:
             self._drop(r)
         return len(stale)
@@ -158,6 +178,7 @@ class ShortcutCache:
         count = len(self._entries)
         self._entries.clear()
         self._learned_at.clear()
+        self._stamp_floor = math.inf
         return count
 
     # ------------------------------------------------------------------
@@ -176,24 +197,45 @@ class ShortcutCache:
         ``target``, provided that distance is strictly below
         ``better_than`` (the caller passes its best plain-neighbor
         distance, preserving the strict-progress termination argument).
-        Entries last confirmed before ``fresh_since`` are expired first.
+        Entries last confirmed before ``fresh_since`` are expired first;
+        ties go to the least recently used entry.
         """
+        if fresh_since is not None and fresh_since > self._stamp_floor:
+            self._expire(fresh_since)
         best_info: Optional[m.NeighborInfo] = None
         best_dist = better_than - eps
-        expired: List[Rect] = []
+        if best_dist <= 0.0:
+            return None  # no distance is negative
+        tx = target.x
+        ty = target.y
+        # Rect.distance_to_point, inlined: this scan runs on every hop.
         for rect, info in self._entries.items():
-            if (
-                fresh_since is not None
-                and self._learned_at.get(rect, fresh_since) < fresh_since
-            ):
-                expired.append(rect)
-                continue
-            distance = rect.distance_to_point(target)
+            dx = rect.x - tx
+            if dx < 0.0:
+                dx = tx - rect.x2
+                if dx < 0.0:
+                    dx = 0.0
+            dy = rect.y - ty
+            if dy < 0.0:
+                dy = ty - rect.y2
+                if dy < 0.0:
+                    dy = 0.0
+            distance = (dx * dx + dy * dy) ** 0.5
             if distance < best_dist:
                 best_info, best_dist = info, distance
-        for rect in expired:
-            self._drop(rect)
+                if distance == 0.0:
+                    break  # ties go to the earlier entry
         return best_info
+
+    def _expire(self, fresh_since: float) -> None:
+        """Drop entries last confirmed before ``fresh_since``.
+
+        Entries without a stamp never expire.
+        """
+        learned_at = self._learned_at
+        for rect in [r for r, at in learned_at.items() if at < fresh_since]:
+            self._drop(rect)
+        self._stamp_floor = min(learned_at.values(), default=math.inf)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

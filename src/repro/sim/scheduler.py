@@ -1,7 +1,7 @@
 """The discrete-event scheduler: a virtual clock and an event queue.
 
-Plain priority-queue design: events are ``(time, sequence, callback)``
-entries; ``run_until`` pops them in timestamp order and advances the
+Plain priority-queue design: heap entries are ``(time, sequence, event)``
+tuples; ``run_until`` pops them in timestamp order and advances the
 clock.  Sequence numbers break timestamp ties FIFO, so simulations are
 deterministic under equal-time events.
 
@@ -18,8 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import SimulationError
@@ -29,27 +28,40 @@ from repro.obs import causal
 EventCallback = Callable[[], None]
 
 
-@dataclass(order=True)
 class Event:
-    """One scheduled event (orderable by time, then sequence)."""
+    """One scheduled event.
 
-    time: float
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Causal context captured at scheduling time and restored around the
-    #: callback, so timer-driven retries stay attributed to the operation
-    #: that armed them.  ``None`` whenever tracing is off.
-    ctx: Optional[causal.SpanContext] = field(
-        default=None, compare=False, repr=False
+    The scheduler's heap holds ``(time, sequence, event)`` tuples, so
+    ordering is a C-level tuple comparison; sequence numbers are unique,
+    so the event itself is never compared.
+    """
+
+    __slots__ = (
+        "time", "sequence", "callback", "cancelled", "ctx", "_scheduler",
+        "_fired",
     )
-    #: Back-reference so ``cancel`` can keep the owning scheduler's
-    #: live-event accounting exact; ``None`` for detached events.
-    _scheduler: Optional["EventScheduler"] = field(
-        default=None, compare=False, repr=False
-    )
-    #: Set once the callback has run; cancelling afterwards is a no-op.
-    _fired: bool = field(default=False, compare=False, repr=False)
+
+    def __init__(
+        self,
+        time: float,
+        sequence: int,
+        callback: EventCallback,
+        ctx: Optional[causal.SpanContext] = None,
+        scheduler: Optional["EventScheduler"] = None,
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.cancelled = False
+        #: Causal context captured at scheduling time and restored around
+        #: the callback, so timer-driven retries stay attributed to the
+        #: operation that armed them.  ``None`` whenever tracing is off.
+        self.ctx = ctx
+        #: Back-reference so ``cancel`` can keep the owning scheduler's
+        #: live-event accounting exact; ``None`` for detached events.
+        self._scheduler = scheduler
+        #: Set once the callback has run; cancelling afterwards is a no-op.
+        self._fired = False
 
     def cancel(self) -> None:
         """Cancel the event; it will not fire.
@@ -64,13 +76,19 @@ class Event:
         if self._scheduler is not None:
             self._scheduler._on_cancel()
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"Event(time={self.time!r}, sequence={self.sequence!r}, "
+            f"cancelled={self.cancelled!r})"
+        )
+
 
 class EventScheduler:
     """A virtual clock driving callbacks in timestamp order."""
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._running = False
         #: Cancelled entries still sitting in the queue.
@@ -99,16 +117,11 @@ class EventScheduler:
                 f"cannot schedule into the past: now={self._now}, "
                 f"requested={time}"
             )
-        event = Event(
-            time=time,
-            sequence=next(self._sequence),
-            callback=callback,
-            # Direct module-global read (not causal.current()) keeps the
-            # disabled-mode cost of this hot path to one attribute lookup.
-            ctx=causal._current,
-            _scheduler=self,
-        )
-        heapq.heappush(self._queue, event)
+        sequence = next(self._sequence)
+        # Direct module-global read (not causal.current()) keeps the
+        # disabled-mode cost of this hot path to one attribute lookup.
+        event = Event(time, sequence, callback, causal._current, self)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     def after(self, delay: float, callback: EventCallback) -> Event:
@@ -176,9 +189,14 @@ class EventScheduler:
 
     def _purge_cancelled(self) -> None:
         """Drop cancelled entries and re-heapify (amortized O(1) per
-        cancel: each purge is linear but halves the queue at least)."""
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapq.heapify(self._queue)
+        cancel: each purge is linear but halves the queue at least).
+
+        Compacts in place: ``run_until`` holds the list while a callback's
+        cancel can trigger a purge.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapq.heapify(queue)
         self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
@@ -195,19 +213,22 @@ class EventScheduler:
             raise SimulationError("run_until is not re-entrant")
         self._running = True
         fired = 0
+        queue = self._queue
+        heappop = heapq.heappop
+        limit = math.inf if max_events is None else max_events
         try:
-            while self._queue and self._queue[0].time <= time:
-                if max_events is not None and fired >= max_events:
+            while queue and queue[0][0] <= time:
+                if fired >= limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events} before reaching "
                         f"t={time}; runaway event loop?"
                     )
-                event = heapq.heappop(self._queue)
+                now, _, event = heappop(queue)
                 if event.cancelled:
                     self._cancelled_pending -= 1
                     continue
                 event._fired = True
-                self._now = event.time
+                self._now = now
                 if event.ctx is not None:
                     with causal.using(event.ctx):
                         event.callback()

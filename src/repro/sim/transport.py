@@ -300,6 +300,8 @@ class SimNetwork:
         self._one_way_blocks.clear()
 
     def _partitioned(self, a: NodeAddress, b: NodeAddress) -> bool:
+        if not self._one_way_blocks and not self._partition_of:
+            return False
         if (a, b) in self._one_way_blocks:
             return True
         group_a = self._partition_of.get(a)
@@ -514,8 +516,11 @@ class SimNetwork:
             recorder.record("deliver", self.scheduler.now, **fields)
         # The handler runs *inside* the message's causal context, so any
         # message it sends (or timer it arms) chains to this delivery.
-        with causal.using(message.span):
+        if message.span is None:
             endpoint.handler(message)
+        else:
+            with causal.using(message.span):
+                endpoint.handler(message)
 
     def endpoint_count(self) -> int:
         """Number of live endpoints."""

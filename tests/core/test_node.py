@@ -21,6 +21,46 @@ class TestNodeAddress:
         with pytest.raises(ValueError):
             synthetic_address(-1)
 
+    def test_hash_equals_field_tuple_hash(self):
+        for address in (NodeAddress("10.0.0.1", 7000), synthetic_address(77)):
+            assert hash(address) == hash((address.ip, address.port))
+
+    @pytest.mark.parametrize("name", ["ip", "port", "extra"])
+    def test_setting_an_attribute_raises(self, name):
+        address = NodeAddress("10.0.0.1", 7000)
+        with pytest.raises(AttributeError):
+            setattr(address, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(address, name)
+        assert address == NodeAddress("10.0.0.1", 7000)
+
+    def test_equal_across_pickle_and_copy(self):
+        import copy
+        import pickle
+
+        address = NodeAddress(ip="10.0.3.4", port=7001)
+        for clone in (
+            pickle.loads(pickle.dumps(address)),
+            copy.copy(address),
+            copy.deepcopy(address),
+            NodeAddress(address.ip, address.port),
+        ):
+            assert clone == address and not clone != address
+            assert hash(clone) == hash(address)
+            assert {clone: 1}[address] == 1
+
+    def test_equality_by_fields_only(self):
+        address = NodeAddress("10.0.0.1", 7000)
+        assert address != NodeAddress("10.0.0.1", 7001)
+        assert address != NodeAddress("10.0.0.2", 7000)
+        assert address != ("10.0.0.1", 7000)
+        assert address != None  # noqa: E711
+
+    def test_repr(self):
+        assert repr(NodeAddress("10.0.0.1", 7000)) == (
+            "NodeAddress(ip='10.0.0.1', port=7000)"
+        )
+
 
 class TestNode:
     def test_five_attribute_tuple(self):

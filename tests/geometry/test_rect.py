@@ -262,3 +262,100 @@ class TestSampling:
     def test_sample_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Rect(0, 0, 1, 1).sample_interior_point(1.0, 0.5)
+
+
+def _reference_distance_to_point(r, p):
+    """The max()-based formula ``Rect.distance_to_point`` inlines."""
+    dx = max(r.x - p.x, 0.0, p.x - (r.x + r.width))
+    dy = max(r.y - p.y, 0.0, p.y - (r.y + r.height))
+    return (dx * dx + dy * dy) ** 0.5
+
+
+def _reference_is_neighbor_of(a, b):
+    """The method-call formulation ``Rect.is_neighbor_of`` inlines."""
+    if a.intersects(b):
+        return False
+    tol = 1e-9
+    if (
+        abs(a.x2 - b.x) <= tol or abs(b.x2 - a.x) <= tol
+    ) and a.overlap_length_y(b) > tol:
+        return True
+    return (
+        abs(a.y2 - b.y) <= tol or abs(b.y2 - a.y) <= tol
+    ) and a.overlap_length_x(b) > tol
+
+
+real_coords = st.floats(min_value=-100, max_value=100, allow_nan=False)
+real_sizes = st.floats(min_value=1e-6, max_value=100, allow_nan=False)
+
+
+@st.composite
+def real_rects(draw):
+    return Rect(draw(real_coords), draw(real_coords), draw(real_sizes),
+                draw(real_sizes))
+
+
+class TestValueSemantics:
+    """Rect is an immutable value: cached hash and edges, no mutation."""
+
+    @given(real_rects())
+    def test_hash_equals_field_tuple_hash(self, r):
+        assert hash(r) == hash((r.x, r.y, r.width, r.height))
+        assert hash(r) == hash((r.x, r.y, r.width, r.height))  # cached
+
+    def test_int_and_float_fields_hash_alike(self):
+        assert Rect(1, 2, 3, 4) == Rect(1.0, 2.0, 3.0, 4.0)
+        assert hash(Rect(1, 2, 3, 4)) == hash(Rect(1.0, 2.0, 3.0, 4.0))
+
+    @given(real_rects())
+    def test_edges_after_construction(self, r):
+        assert r.x2 == r.x + r.width
+        assert r.y2 == r.y + r.height
+
+    @pytest.mark.parametrize(
+        "name", ["x", "y", "width", "height", "x2", "y2", "extra"]
+    )
+    def test_setting_an_attribute_raises(self, name):
+        r = Rect(0, 0, 1, 1)
+        with pytest.raises(AttributeError):
+            setattr(r, name, 5.0)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+        assert r == Rect(0, 0, 1, 1)
+
+    @given(real_rects())
+    def test_equal_across_pickle_and_copy(self, r):
+        import copy
+        import pickle
+
+        for clone in (
+            pickle.loads(pickle.dumps(r)),
+            copy.copy(r),
+            copy.deepcopy(r),
+            Rect(*r.as_tuple()),
+        ):
+            assert clone == r and not clone != r
+            assert hash(clone) == hash(r)
+            assert (clone.x2, clone.y2) == (r.x2, r.y2)
+
+    def test_not_equal_to_other_types(self):
+        assert Rect(0, 0, 1, 1) != (0, 0, 1, 1)
+        assert Rect(0, 0, 1, 1) != Rect(0, 0, 1, 2)
+
+    def test_repr(self):
+        assert repr(Rect(0, 0.5, 1, 2)) == (
+            "Rect(x=0, y=0.5, width=1, height=2)"
+        )
+
+    @given(real_rects(), real_coords, real_coords)
+    def test_distance_matches_reference_bit_for_bit(self, r, px, py):
+        p = Point(px, py)
+        assert r.distance_to_point(p) == _reference_distance_to_point(r, p)
+
+    @given(rects(), rects())
+    def test_neighborship_matches_reference(self, a, b):
+        assert a.is_neighbor_of(b) == _reference_is_neighbor_of(a, b)
+
+    @given(real_rects(), real_rects())
+    def test_neighborship_matches_reference_real(self, a, b):
+        assert a.is_neighbor_of(b) == _reference_is_neighbor_of(a, b)

@@ -234,3 +234,40 @@ class TestCancellationAccounting:
                 event.cancel()
             assert len(scheduler._queue) <= 201
         assert scheduler.pending() == 0
+
+    def test_purge_during_run_keeps_order(self):
+        """A callback that cancels most of the queue triggers a purge while
+        run_until holds the heap; the survivors still fire in (time,
+        sequence) order and no cancelled event fires."""
+        rng = random.Random(7)
+        scheduler = EventScheduler()
+        fired = []
+        events = {}
+        for label in range(400):
+            # Coarse times, so many entries tie and the sequence decides.
+            time = float(rng.randint(2, 40))
+            events[label] = (
+                time, scheduler.at(time, lambda l=label: fired.append(l))
+            )
+        doomed = set(rng.sample(sorted(events), 300))
+        purges = []
+
+        def cancel_most():
+            before = len(scheduler._queue)
+            for label in sorted(doomed):
+                events[label][1].cancel()
+            purges.append((before, len(scheduler._queue)))
+            # Scheduling after the purge still lands in the same heap.
+            scheduler.at(scheduler.now + 0.5, lambda: fired.append("late"))
+
+        scheduler.at(1.0, cancel_most)
+        scheduler.run_all()
+        before, after = purges[0]
+        assert after < before - len(doomed) // 2  # a purge really ran
+        survivors = sorted(
+            (label for label in events if label not in doomed),
+            key=lambda label: (events[label][0], events[label][1].sequence),
+        )
+        assert fired == ["late"] + survivors
+        assert not doomed & set(fired)
+        assert scheduler.pending() == 0
